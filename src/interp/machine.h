@@ -90,10 +90,16 @@ struct RunOptions {
   std::map<fortran::StmtId, LoopClauses> parallelClauses;
 };
 
-/// A tree-walking interpreter for the supported Fortran dialect: the
-/// execution substrate that stands in for the paper's Cray/Sun runs. It
-/// validates transformation safety (original vs transformed must agree) and
-/// provides the execution profiles PED's work model starts from.
+/// An interpreter for the supported Fortran dialect: the execution
+/// substrate that stands in for the paper's Cray/Sun runs. It validates
+/// transformation safety (original vs transformed must agree) and provides
+/// the execution profiles PED's work model starts from.
+///
+/// Construction lowers every program unit once (frame slots, resolved
+/// callees and intrinsics, flattened control flow); every run() reuses
+/// that lowering, so the program's structure must not change while the
+/// Machine is in use. PARALLEL DO markings (Stmt::isParallel) are read at
+/// run time and may be flipped between runs.
 class Machine {
  public:
   explicit Machine(const fortran::Program& program);
@@ -102,8 +108,9 @@ class Machine {
   [[nodiscard]] RunResult run(const RunOptions& opts = {});
 
  private:
+  struct Lowered;
   struct Impl;
-  const fortran::Program& program_;
+  std::shared_ptr<const Lowered> lowered_;
 };
 
 }  // namespace ps::interp

@@ -35,12 +35,14 @@ struct Value {
 };
 
 /// Backing storage for one variable (scalar = extent 1). Cells live in
-/// stable-addressed slabs so pass-by-reference aliasing and the race
-/// detector can use raw cell addresses as identities.
+/// stable-addressed slabs so pass-by-reference aliasing can hold raw cell
+/// references.
 struct Storage {
   fortran::TypeKind type = fortran::TypeKind::Real;
-  /// Creation order within one machine run; distinguishes storage
-  /// lifetimes whose heap addresses the allocator happens to reuse.
+  /// Creation order within one machine run (dense, from 1): the identity
+  /// the race detector and the trace recorder index their per-cell tables
+  /// by. Unlike a heap address it is never reused by a later call frame,
+  /// so two storage lifetimes can never alias.
   std::uint64_t serial = 0;
   std::vector<double> realCells;
   std::vector<long long> intCells;
@@ -90,14 +92,6 @@ struct Storage {
 struct CellRef {
   Storage* storage = nullptr;
   std::size_t offset = 0;
-
-  /// A stable, comparable identity for the race detector and the trace
-  /// recorder. Keyed by the storage's creation serial, not its heap
-  /// address: the allocator may hand a freed local's address to a later
-  /// call frame, and a pointer key would silently alias the two lifetimes
-  /// (making trace element ids depend on heap history).
-  using Address = std::pair<std::uint64_t, std::size_t>;
-  [[nodiscard]] Address address() const { return {storage->serial, offset}; }
 };
 
 }  // namespace ps::interp
