@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 scrub_pdb_cache() {
   rm -rf .pscache
   find . -name '*.pspdb' -not -path './build*' -delete 2>/dev/null || true
-  find build build-tsan -name '*.pspdb' -delete 2>/dev/null || true
+  find build build-tsan build-asan -name '*.pspdb' -delete 2>/dev/null || true
 }
 scrub_pdb_cache
 
@@ -58,6 +58,26 @@ PS_FUZZ_ITERS="${PS_FUZZ_ITERS:-1500}" PS_VALIDATE=1 \
 # silently dropped loop.
 ./build/tests/emission_test
 ./build/tools/ps_emit --check
+scrub_pdb_cache
+
+# AddressSanitizer + UndefinedBehaviorSanitizer stage: rebuild the
+# interpreter-facing suites with -fsanitize=address,undefined,pointer-subtract
+# and run them. The interpreter indexes its dense race-detector and trace
+# tables by raw storage serials and offsets, and the incremental dependence
+# update searches loop nest paths by iterator range (ped_session_test drives
+# that search through an edit); an out-of-bounds read, a range whose ends
+# belong to two containers, or undefined arithmetic fails CI here. The edit
+# storm runs one reduced pass (two edits per deck) to keep the stage short.
+cmake -B build-asan -S . -DPS_ASAN=ON
+cmake --build build-asan -j --target interp_test interp_golden_test validation_test emission_test edit_storm_test ped_session_test
+export ASAN_OPTIONS=detect_invalid_pointer_pairs=1
+./build-asan/tests/interp_test
+./build-asan/tests/interp_golden_test
+./build-asan/tests/ped_session_test
+./build-asan/tests/validation_test
+./build-asan/tests/emission_test
+PS_STORM_EDITS=2 ./build-asan/tests/edit_storm_test
+unset ASAN_OPTIONS
 scrub_pdb_cache
 
 # ThreadSanitizer stage: rebuild the concurrency-sensitive targets with

@@ -26,6 +26,7 @@
 #include "workloads/emission_driver.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
+#include "test_files.h"
 
 namespace ps::workloads {
 namespace {
@@ -478,15 +479,7 @@ INSTANTIATE_TEST_SUITE_P(All, EmissionDecks,
 // Emission evidence persists in the program database
 // ---------------------------------------------------------------------------
 
-class ScopedFile {
- public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test_support::ScopedFile;
 
 TEST(EmissionPersistence, ReportSurvivesPdbRoundTrip) {
   auto s = loadSource(kReduction, "red-pdb");

@@ -29,19 +29,12 @@
 #include "support/io.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
+#include "test_files.h"
 
 namespace ps {
 namespace {
 
-class ScopedFile {
- public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test_support::ScopedFile;
 
 TEST(AtomicWrite, RoundTripAndStages) {
   ScopedFile f("io_atomic.rt.bin");

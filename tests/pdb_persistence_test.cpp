@@ -24,9 +24,12 @@
 #include "support/io.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
+#include "test_files.h"
 
 namespace ps::workloads {
 namespace {
+
+using test_support::ScopedFile;
 
 constexpr char kDeck[] = "slab2d";
 
@@ -107,10 +110,9 @@ const Fixture& fixture() {
     cold->analyzeParallel(1);
     f.coldSnapshot = analysisSnapshot(*cold);
     f.procedures = cold->procedureNames().size();
-    const std::string path = std::string(kDeck) + ".corrupt.pspdb";
-    EXPECT_TRUE(cold->savePdb(path));
-    EXPECT_TRUE(ps::support::readFile(path, &f.image));
-    std::remove(path.c_str());
+    const ScopedFile store(std::string(kDeck) + ".corrupt.pspdb");
+    EXPECT_TRUE(cold->savePdb(store.path()));
+    EXPECT_TRUE(ps::support::readFile(store.path(), &f.image));
     return f;
   }();
   return fx;
@@ -121,11 +123,13 @@ const Fixture& fixture() {
 /// for counter checks.
 std::unique_ptr<ped::Session> openImage(const std::string& image,
                                         const std::string& tag) {
-  const std::string path = std::string(kDeck) + "." + tag + ".pspdb";
-  EXPECT_TRUE(ps::support::writeFileAtomic(path, image));
+  std::unique_ptr<ped::Session> s;
   DiagnosticEngine diags;
-  auto s = ped::Session::openWarm(fixture().source, path, diags, 2);
-  std::remove(path.c_str());
+  {
+    const ScopedFile store(std::string(kDeck) + "." + tag + ".pspdb");
+    EXPECT_TRUE(ps::support::writeFileAtomic(store.path(), image));
+    s = ped::Session::openWarm(fixture().source, store.path(), diags, 2);
+  }
   EXPECT_NE(s, nullptr) << tag;
   if (!s) return nullptr;
   EXPECT_FALSE(diags.hasErrors()) << tag;

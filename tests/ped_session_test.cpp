@@ -638,6 +638,39 @@ TEST(Session, IncrementalEditSplicesUnchangedPairs) {
   EXPECT_GT(s->analysisStats().pairsTested, 0);
 }
 
+// Forward substitution where the unique reaching definition sits in a loop
+// nested inside the use's loop. Deleting T = R(J) leaves the inner loop's
+// T = T - ... as the only definition reaching R(J) = T/C(J, J), so the
+// def-in-nest check looks the inner loop up in the outer loop's nest path,
+// misses, and searches to the path's end before climbing to the parent.
+// The incremental update must equal a from-scratch analysis of the same
+// edit; the sanitizer stage in scripts/ci.sh fails if the search ever reads
+// past the path.
+TEST(Session, ForwardSubstitutionFromInnerLoopSurvivesEdit) {
+  const char* src =
+      "      SUBROUTINE BS(C, R, N)\n"
+      "      REAL C(N, N), R(N)\n"
+      "      DO 700 J = N, 1, -1\n"
+      "        T = R(J)\n"
+      "        DO 710 I = J + 1, N\n"
+      "          T = T - C(J, I)*R(I)\n"
+      "  710   CONTINUE\n"
+      "        R(J) = T/C(J, J)\n"
+      "  700 CONTINUE\n"
+      "      END\n";
+  auto s = load(src);
+  auto full = load(src);
+  fortran::StmtId target = fortran::kInvalidStmt;
+  for (const auto& row : s->sourcePane()) {
+    if (row.text.find("T = R(J)") != std::string::npos) target = row.stmt;
+  }
+  ASSERT_NE(target, fortran::kInvalidStmt);
+  ASSERT_TRUE(s->deleteStatement(target));
+  ASSERT_TRUE(full->deleteStatement(target));
+  full->fullReanalysis();
+  EXPECT_EQ(s->dependenceSnapshot(), full->dependenceSnapshot());
+}
+
 // ---------------------------------------------------------------------------
 // Transactions, invariant auditing, fault injection, degradation reporting
 // ---------------------------------------------------------------------------

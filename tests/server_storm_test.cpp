@@ -24,19 +24,12 @@
 #include "workloads/harness.h"
 #include "workloads/server_driver.h"
 #include "workloads/workloads.h"
+#include "test_files.h"
 
 namespace ps::workloads {
 namespace {
 
-class ScopedFile {
- public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test_support::ScopedFile;
 
 class ServerStorm : public ::testing::TestWithParam<std::string> {};
 

@@ -23,19 +23,12 @@
 #include "validate/validate.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
+#include "test_files.h"
 
 namespace ps::workloads {
 namespace {
 
-class ScopedFile {
- public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test_support::ScopedFile;
 
 // A loop whose dependence on A is real only when the runtime value of K
 // makes the write range overlap the read range. Analysis cannot know K, so

@@ -26,19 +26,12 @@
 #include "support/diagnostics.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
+#include "test_files.h"
 
 namespace ps::workloads {
 namespace {
 
-class ScopedFile {
- public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test_support::ScopedFile;
 
 class WarmStart : public ::testing::TestWithParam<std::string> {};
 
