@@ -194,13 +194,15 @@ RelativeResult relativeCheck(fortran::Program& program, fortran::StmtId loop,
     rr.serialExecutions = it->second;
   }
 
+  // One lowering serves every schedule: the Machine reads the PARALLEL
+  // markings flipped above at run time.
+  interp::Machine m(program);
   for (int k = 0; k < schedules && !rr.diverged; ++k) {
     interp::RunOptions o = base;
     o.trace = nullptr;
     o.checkParallel = true;
     o.shuffleSeed =
         base.shuffleSeed + 0x9e3779b9u * static_cast<unsigned>(k + 1);
-    interp::Machine m(program);
     interp::RunResult r = m.run(o);
     std::ostringstream os;
     if (!r.ok) {
