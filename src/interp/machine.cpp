@@ -626,7 +626,8 @@ struct Machine::Impl {
     const std::vector<long long>* lowerBounds = nullptr;
     bool bound = false;  // formal bound to an actual argument
     Storage local;       // backing store when the slot is a local
-    std::vector<long long> ownExtents, ownLowerBounds;  // formal shapes
+    /// Shape this frame evaluated itself (formal arrays).
+    std::vector<long long> ownExtents, ownLowerBounds;
   };
 
   struct LoopState {
@@ -657,7 +658,8 @@ struct Machine::Impl {
     std::deque<Storage> temps;  // value actuals; deque keeps addresses
   };
 
-  std::vector<std::unique_ptr<ParallelCtx>> ctxPool;
+  /// Race contexts by stack depth, reused across activations.
+  std::vector<ParallelCtx> ctxPool;
   std::size_t ctxDepth = 0;  // active contexts: ctxPool[0, ctxDepth)
 
   /// Statement currently executing (runtime diagnostics and trace events
@@ -696,13 +698,11 @@ struct Machine::Impl {
     }
   }
 
-  ParallelCtx& ctxBack() { return *ctxPool[ctxDepth - 1]; }
+  ParallelCtx& ctxBack() { return ctxPool[ctxDepth - 1]; }
 
   void pushCtx(const Stmt* loop, const LoopClauses* clauses) {
-    if (ctxDepth == ctxPool.size()) {
-      ctxPool.push_back(std::make_unique<ParallelCtx>());
-    }
-    ctxPool[ctxDepth++]->begin(loop, clauses);
+    if (ctxDepth == ctxPool.size()) ctxPool.emplace_back();
+    ctxPool[ctxDepth++].begin(loop, clauses);
   }
 
   /// Intern a fresh iteration node; kills the trace (degrade, don't lie)
@@ -907,7 +907,7 @@ struct Machine::Impl {
 
   Value load(Frame& f, const Node& ref) {
     CellRef c = cellOf(f, ref);
-    for (std::size_t i = 0; i < ctxDepth; ++i) ctxPool[i]->onRead(c);
+    for (std::size_t i = 0; i < ctxDepth; ++i) ctxPool[i].onRead(c);
     if (trace) traceAccess(info(f, ref.slot), c, /*isWrite=*/false);
     return c.storage->load(c.offset);
   }
@@ -916,7 +916,7 @@ struct Machine::Impl {
   void storeCell(Frame& f, int slot, const CellRef& c, const Value& v) {
     const SlotInfo& si = info(f, slot);
     for (std::size_t i = 0; i < ctxDepth; ++i) {
-      ctxPool[i]->onWrite(c, si.name);
+      ctxPool[i].onWrite(c, si.name);
     }
     if (trace) traceAccess(si, c, /*isWrite=*/true);
     c.storage->store(c.offset, v);
@@ -1202,7 +1202,7 @@ struct Machine::Impl {
     // inner sequential IVs are killed every iteration, so their write-write
     // conflicts are benign).
     const CellRef c = baseOf(f, op.iv);
-    for (std::size_t i = 0; i < ctxDepth; ++i) ctxPool[i]->markInduction(c);
+    for (std::size_t i = 0; i < ctxDepth; ++i) ctxPool[i].markInduction(c);
     if (ls.realIv) {
       storeCell(f, op.iv, c,
                 Value::ofReal(ls.rlo + static_cast<double>(idx) * ls.rstep));

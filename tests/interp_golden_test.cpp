@@ -495,6 +495,17 @@ const std::vector<Edge>& edges() {
        "        X(I) = X(I) + K\n"
        "      ENDDO\n"
        "      END\n"},
+      {"common_created_while_evaluating_its_bounds",
+       "      PROGRAM CB\n"
+       "      COMMON /B/ X(NF(2))\n"
+       "      X(3) = X(3) + 1.0\n"
+       "      WRITE(6, *) X(1), X(3)\n"
+       "      END\n"
+       "      FUNCTION NF(K)\n"
+       "      COMMON /B/ X(4)\n"
+       "      X(1) = 7.0\n"
+       "      NF = K + 1\n"
+       "      END\n"},
       {"runtime_errors_undefined_function",
        "      PROGRAM UF\n"
        "      Y = 1.0\n"
@@ -608,6 +619,7 @@ const std::map<std::string, std::uint64_t>& edgePins() {
       {"array_element_actual_aliasing", 0xf36974282e941592},
       {"formal_dims_read_other_formals", 0xaa6b515f11a520ff},
       {"common_first_touched_in_callee", 0x7e2e95707f30304a},
+      {"common_created_while_evaluating_its_bounds", 0x3a45c03a7355e1d2},
       {"runtime_errors_undefined_function", 0x406a5a49511ee1ae},
       {"runtime_errors_undefined_subroutine", 0xee89e0e6501bc13b},
       {"runtime_errors_unknown_extent", 0x2301b619c0c08642},
