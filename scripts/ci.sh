@@ -62,7 +62,7 @@ scrub_pdb_cache
 
 # AddressSanitizer + UndefinedBehaviorSanitizer stage: rebuild the
 # interpreter-facing suites with -fsanitize=address,undefined,pointer-subtract
-# and run them. The interpreter indexes its dense race-detector and trace
+# and _GLIBCXX_ASSERTIONS (PS_ASAN) and run them. The interpreter indexes its dense race-detector and trace
 # tables by raw storage serials and offsets, and the incremental dependence
 # update searches loop nest paths by iterator range (ped_session_test drives
 # that search through an edit); an out-of-bounds read, a range whose ends

@@ -315,6 +315,10 @@ class Lowerer {
       p.paramSlots.push_back(slotFor(p, param));
     }
     p.resultSlot = slotFor(p, p.proc->name);
+    // Declared names get slots even when the body never mentions them: a
+    // LASTPRIVATE clause may still name one, and creating it evaluates its
+    // bounds or PARAMETER value.
+    for (const auto& d : p.proc->decls) slotFor(p, d.name);
     for (const auto& s : p.proc->body) lowerStmt(p, *s);
     Op ret;
     ret.k = Op::K::Ret;
@@ -644,9 +648,10 @@ struct Machine::Impl {
     /// Directive clauses for this activation (null = none supplied).
     const LoopClauses* clauses = nullptr;
     /// LASTPRIVATE slots in name order, and the values staged at the end
-    /// of the sequentially last iteration (empty = none staged). Names
-    /// the procedure never mentions resolve to no slot: such a variable
-    /// is unobservable, so there is nothing to copy out.
+    /// of the sequentially last iteration (empty = none staged). A name
+    /// the procedure neither declares nor mentions has no slot: it would
+    /// be an implicit scalar whose creation evaluates nothing and which
+    /// nothing reads, so there is nothing to copy out.
     std::vector<int> lastSlots;
     std::vector<Value> lastVals;
   };

@@ -404,6 +404,26 @@ const std::vector<Edge>& edges() {
        "   30 CONTINUE\n"
        "      WRITE(6, *) N, A(1), A(4), S\n"
        "      END\n"},
+      {"lastprivate_declared_but_unused",
+       "      PROGRAM LD\n"
+       "      PARAMETER (NW = 3)\n"
+       "      COMMON /C/ CW(NW)\n"
+       "      DIMENSION A(4), W(M + 2)\n"
+       "      M = 2\n"
+       "      PARALLEL DO I = 1, 4\n"
+       "        A(I) = I\n"
+       "      ENDDO\n"
+       "      WRITE(6, *) A(4)\n"
+       "      CALL USE\n"
+       "      END\n"
+       "      SUBROUTINE USE\n"
+       "      COMMON /C/ CW(5)\n"
+       "      CW(2) = 1.0\n"
+       "      WRITE(6, *) CW(2)\n"
+       "      END\n",
+       100'000,
+       {},
+       {{0, {{}, {"W", "CW", "NW"}}}}},
       {"lastprivate_copy_out",
        "      PROGRAM LP\n"
        "      DIMENSION A(10)\n"
@@ -614,6 +634,7 @@ const std::map<std::string, std::uint64_t>& edgePins() {
       {"zero_step_int", 0x884b053afd4186be},
       {"zero_step_real", 0x2548acde9f8b8756},
       {"goto_out_of_parallel_and_reentry", 0xed520c121da70e47},
+      {"lastprivate_declared_but_unused", 0x96f3473fc01414e5},
       {"lastprivate_copy_out", 0xd2777a968ca2fe87},
       {"function_result", 0xfac9117addaa564f},
       {"array_element_actual_aliasing", 0xf36974282e941592},
