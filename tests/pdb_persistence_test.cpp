@@ -123,13 +123,10 @@ const Fixture& fixture() {
 /// for counter checks.
 std::unique_ptr<ped::Session> openImage(const std::string& image,
                                         const std::string& tag) {
-  std::unique_ptr<ped::Session> s;
+  const ScopedFile store(std::string(kDeck) + "." + tag + ".pspdb");
+  EXPECT_TRUE(ps::support::writeFileAtomic(store.path(), image));
   DiagnosticEngine diags;
-  {
-    const ScopedFile store(std::string(kDeck) + "." + tag + ".pspdb");
-    EXPECT_TRUE(ps::support::writeFileAtomic(store.path(), image));
-    s = ped::Session::openWarm(fixture().source, store.path(), diags, 2);
-  }
+  auto s = ped::Session::openWarm(fixture().source, store.path(), diags, 2);
   EXPECT_NE(s, nullptr) << tag;
   if (!s) return nullptr;
   EXPECT_FALSE(diags.hasErrors()) << tag;
