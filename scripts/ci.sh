@@ -89,7 +89,7 @@ scrub_pdb_cache
 # because TSan does not model standalone fences; the structures and their
 # interleavings are otherwise the ones production runs.)
 cmake -B build-tsan -S . -DPS_TSAN=ON
-cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test depmemo_concurrent_test warm_start_test pdb_persistence_test validation_test lockfree_test emission_test
+cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test depmemo_concurrent_test warm_start_test pdb_persistence_test validation_test lockfree_test emission_test interp_golden_test
 # Lock-free substrate stress: Chase–Lev owner-vs-thieves and resize-under-
 # steal, MPMC channel loss/dup, epoch-reclamation use-after-retire canaries,
 # DepMemo invalidation storms on BOTH backends.
@@ -98,15 +98,22 @@ cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test depm
 ./build-tsan/tests/parallel_analysis_test
 ./build-tsan/tests/edit_storm_test
 # Validation under TSan: the deck suite re-analyzes through the task pool
-# at 1/2/4/8 threads with trace replay and auto-restores interleaved — any
-# race between the validator's graph writes and the analysis engine fails
-# here.
+# at 1/2/4/8 threads with trace replay and auto-restores interleaved, and
+# relative execution runs its schedules concurrently on one Machine — any
+# race between the validator's graph writes and the analysis engine, or
+# between two schedule runs, fails here.
 ./build-tsan/tests/validation_test
-# Emission under TSan on the lock-free substrate: round-trip re-analysis
-# fans the directive-stripped deck through the task pool at 1/2/4/8
-# threads while relative validation replays traces — any race between the
+# Emission under TSan on the lock-free substrate: relative validation runs
+# the serial baseline and every loop's shuffled schedules concurrently on
+# one shared interpreter Machine, alongside the directive-stripped
+# re-analysis, and the round trip fans the emitted deck through the task
+# pool at 1/2/4/8 threads — any race between concurrent runs, the
 # emitter's snapshotting and the analysis engine fails here.
 PS_LOCKFREE=1 ./build-tsan/tests/emission_test
+# Concurrent interpreter runs: every deck's shuffled schedules run at once
+# on one Machine through a 4-wide pool and must reproduce the sequential
+# digests; any state two runs share unsynchronized fails here.
+./build-tsan/tests/interp_golden_test
 # Warm-open settle path (dirty-set re-analysis seeded from disk) and the
 # corruption-recovery suite, both under TSan: rebinding and quarantine run
 # concurrently with the task pool.

@@ -128,6 +128,8 @@ struct EmissionReport {
   std::map<std::string, int> clauseHistogram;
 
   double emitSeconds = 0.0;
+  /// Relative validation's batch, which also computes the round trip's
+  /// directive-stripped baseline when both run.
   double validateSeconds = 0.0;
   double roundTripSeconds = 0.0;
 

@@ -147,6 +147,7 @@ struct LoweredProgram {
   std::vector<std::string> names;             // interned variable names
   int commons = 0;                            // distinct block|name members
   std::vector<fortran::StmtId> counterStmt;   // counter -> statement id
+  std::vector<fortran::StmtId> doStmts;       // every DO statement, sorted
 };
 
 // ---------------------------------------------------------------------------
@@ -166,6 +167,7 @@ class Lowerer {
       out_.procs.push_back(std::move(lp));
     }
     for (auto& lp : out_.procs) lowerProc(*lp);
+    std::sort(out_.doStmts.begin(), out_.doStmts.end());
   }
 
  private:
@@ -449,6 +451,7 @@ class Lowerer {
         const int hi = lowerExpr(p, *s.doHi);
         const int step = s.doStep ? lowerExpr(p, *s.doStep) : -1;
         const int initPc = emit(p, Op::K::DoInit, &s);
+        out_.doStmts.push_back(s.id);
         const int bodyPc = here(p);
         for (const auto& b : s.body) lowerStmt(p, *b);
         const int stepPc = emit(p, Op::K::DoStep, &s);
@@ -1241,9 +1244,12 @@ struct Machine::Impl {
     }
     if (ls.trip < 0) ls.trip = 0;
     ls.k = 0;
-    // Read at run time, never lowered: relative validation flips the
-    // marking between runs of one Machine.
-    ls.parallel = s.isParallel && opts.checkParallel;
+    // Read at run time, never lowered: a run may name the one loop under
+    // test, overriding every marking.
+    const bool marked = opts.onlyParallel != fortran::kInvalidStmt
+                            ? s.id == opts.onlyParallel
+                            : s.isParallel;
+    ls.parallel = marked && opts.checkParallel;
     ls.perm.clear();
     ls.clauses = nullptr;
     ls.lastSlots.clear();
@@ -1340,8 +1346,10 @@ struct Machine::Impl {
   void execute(Frame& f) {
     const std::vector<Op>& ops = f.proc->ops;
     // A RETURN inside a DO must not leak the callee's iteration contexts
-    // into the caller's subsequent events.
+    // into the caller's subsequent events, nor its race contexts onto the
+    // stack: an enclosing PARALLEL DO would stop recognizing its own.
     const std::int32_t entryCtx = curCtx;
+    const std::size_t entryDepth = ctxDepth;
     std::size_t pc = 0;
     while (pc < ops.size()) {
       const Op& op = ops[pc];
@@ -1408,13 +1416,15 @@ struct Machine::Impl {
           doStep(f, op, pc);
           break;
         case Op::K::Ret:
-          curCtx = entryCtx;
-          return;
+          pc = ops.size();
+          break;
         case Op::K::Stop:
           // unwinds to run()
           throw StopSignal{op.stmt ? op.stmt->id : fortran::kInvalidStmt};
       }
     }
+    curCtx = entryCtx;
+    ctxDepth = entryDepth;
   }
 };
 
@@ -1434,7 +1444,12 @@ Machine::Machine(const Program& program) {
   lowered_ = std::move(lowered);
 }
 
-RunResult Machine::run(const RunOptions& opts) {
+bool Machine::hasLoop(fortran::StmtId stmt) const {
+  return std::binary_search(lowered_->doStmts.begin(),
+                            lowered_->doStmts.end(), stmt);
+}
+
+RunResult Machine::run(const RunOptions& opts) const {
   Impl impl(*lowered_, opts);
   if (!lowered_->main) {
     impl.result.error = "no PROGRAM unit";

@@ -88,6 +88,10 @@ struct RunOptions {
   /// entry keep the default conservative semantics (only the induction
   /// variable is implicitly private).
   std::map<fortran::StmtId, LoopClauses> parallelClauses;
+  /// When set, this DO loop alone runs as PARALLEL and every other loop
+  /// runs sequentially, whatever the program's markings say (relative
+  /// execution of one loop under test). kInvalidStmt = use the markings.
+  fortran::StmtId onlyParallel = fortran::kInvalidStmt;
 };
 
 /// An interpreter for the supported Fortran dialect: the execution
@@ -97,15 +101,20 @@ struct RunOptions {
 ///
 /// Construction lowers every program unit once (frame slots, resolved
 /// callees and intrinsics, flattened control flow); every run() reuses
-/// that lowering, so the program's structure must not change while the
-/// Machine is in use. PARALLEL DO markings (Stmt::isParallel) are read at
-/// run time and may be flipped between runs.
+/// that lowering, so the program must not change while the Machine is in
+/// use. A run keeps all of its mutable state to itself and only reads the
+/// lowering and the program, so concurrent run() calls on one Machine are
+/// safe: relative execution runs every shuffled schedule of every loop
+/// under test at once, each naming its loop in RunOptions::onlyParallel.
 class Machine {
  public:
   explicit Machine(const fortran::Program& program);
 
   /// Execute the main program unit.
-  [[nodiscard]] RunResult run(const RunOptions& opts = {});
+  [[nodiscard]] RunResult run(const RunOptions& opts = {}) const;
+
+  /// True when `stmt` is a DO statement of the program.
+  [[nodiscard]] bool hasLoop(fortran::StmtId stmt) const;
 
  private:
   struct Lowered;

@@ -2038,11 +2038,9 @@ validate::ValidationReport Session::validateDeletions(
   ro.trace = &trace;
 
   const auto t0 = Clock::now();
-  interp::RunResult serial;
-  {
-    interp::Machine m(*program_);
-    serial = m.run(ro);
-  }
+  // One lowering serves the trace run and every relative schedule below.
+  const interp::Machine machine(*program_);
+  const interp::RunResult serial = machine.run(ro);
   rep.traceSeconds = std::chrono::duration<double>(Clock::now() - t0).count();
   rep.events = static_cast<long long>(trace.events.size());
   rep.traceComplete = trace.complete();
@@ -2241,12 +2239,21 @@ validate::ValidationReport Session::validateDeletions(
         }
       }
     }
-    for (const Candidate& c : cands) {
-      if (rep.relativeChecks >= opts.budget.maxRelativeChecks) break;
-      interp::RunOptions base = opts.run;
-      base.maxSteps = opts.budget.maxSteps;
-      validate::RelativeResult rr = validate::relativeCheck(
-          *program_, c.loop, base, serial, opts.budget.schedules);
+    cands.resize(std::min(
+        cands.size(), static_cast<std::size_t>(opts.budget.maxRelativeChecks)));
+    interp::RunOptions base = opts.run;
+    base.maxSteps = opts.budget.maxSteps;
+    std::vector<validate::RelativeJob> jobs;
+    for (const Candidate& c : cands) jobs.push_back({c.loop, base});
+    const auto pool = validate::batchPool(
+        jobs.size() *
+        static_cast<std::size_t>(std::max(opts.budget.schedules, 0)));
+    std::vector<validate::RelativeResult> results =
+        validate::relativeExecution(machine, jobs, serial,
+                                    opts.budget.schedules, pool.get());
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const Candidate& c = cands[i];
+      validate::RelativeResult& rr = results[i];
       ++rep.relativeChecks;
       if (rr.diverged) {
         ++rep.relativeDivergences;
@@ -2355,25 +2362,66 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
   }
   rep.emitSeconds = std::chrono::duration<double>(Clock::now() - t0).count();
 
+  // The round trip's reference: the directive-stripped print, re-analyzed
+  // from scratch. It does not depend on any relative outcome, so when
+  // relative validation runs it joins that batch.
+  std::string stripped;
+  bool strippedParsed = false;
+  std::string baseline;
+  auto stripBaseline = [&] {
+    fortran::PrettyOptions plain;
+    plain.emitParallelMarkers = false;
+    stripped = fortran::printProgram(*program_, plain);
+    DiagnosticEngine bd;
+    auto base = Session::load(stripped, bd);
+    if (!base) return;
+    strippedParsed = true;
+    (void)base->analyzeParallel(1);
+    baseline = base->dependenceSnapshot();
+  };
+  bool baselinePending = opts.roundTrip;
+
   // Relative validation: the serial run is the reference semantics; every
   // eligible loop must agree with it under shuffled schedules WITH the
-  // directive's data-sharing clauses applied.
+  // directive's data-sharing clauses applied. The serial run and every
+  // (loop, schedule) run share one Machine and run as one batch.
   bool anyEligible = false;
   for (const auto& le : rep.loops) anyEligible |= le.emitted;
   if (opts.relativeValidation && anyEligible) {
     const auto t1 = Clock::now();
+    const interp::Machine machine(*program_);
     interp::RunOptions so = opts.run;
     so.checkParallel = false;
     so.trace = nullptr;
     so.maxSteps = opts.maxSteps;
     so.parallelClauses.clear();
     interp::RunResult serial;
-    {
-      interp::Machine m(*program_);
-      serial = m.run(so);
+    std::vector<std::function<void()>> alongside;
+    alongside.push_back([&] { serial = machine.run(so); });
+    if (baselinePending) {
+      alongside.push_back(stripBaseline);
+      baselinePending = false;
     }
+    std::vector<validate::RelativeJob> jobs;
+    std::vector<emit::LoopEmission*> jobLoops;
     for (auto& le : rep.loops) {
       if (!le.emitted) continue;
+      validate::RelativeJob job;
+      job.loop = le.loop;
+      job.base = opts.run;
+      job.base.maxSteps = opts.maxSteps;
+      job.base.parallelClauses = {{le.loop, le.interpClauses}};
+      jobs.push_back(std::move(job));
+      jobLoops.push_back(&le);
+    }
+    const auto pool = validate::batchPool(
+        alongside.size() +
+        jobs.size() * static_cast<std::size_t>(std::max(opts.schedules, 0)));
+    const std::vector<validate::RelativeResult> results =
+        validate::relativeExecution(machine, jobs, serial, opts.schedules,
+                                    pool.get(), std::move(alongside));
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      emit::LoopEmission& le = *jobLoops[i];
       if (!serial.ok) {
         // No reference run, no validated emission: explicit refusal, never
         // an unvalidated directive.
@@ -2381,13 +2429,7 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
         le.refusal = "serial baseline failed: " + serial.error;
         continue;
       }
-      interp::RunOptions base = opts.run;
-      base.trace = nullptr;
-      base.maxSteps = opts.maxSteps;
-      base.parallelClauses.clear();
-      base.parallelClauses[le.loop] = le.interpClauses;
-      validate::RelativeResult rr = validate::relativeCheck(
-          *program_, le.loop, base, serial, opts.schedules);
+      const validate::RelativeResult& rr = results[i];
       le.relativeChecked = rr.ran;
       le.serialExecutions = rr.serialExecutions;
       if (rr.diverged) {
@@ -2471,9 +2513,7 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
     // 2. Stripping the directive lines from the deck must yield the plain
     // print byte-for-byte (directives are whole inserted lines, nothing
     // else may differ).
-    fortran::PrettyOptions plain;
-    plain.emitParallelMarkers = false;
-    const std::string stripped = fortran::printProgram(*program_, plain);
+    if (baselinePending) stripBaseline();
     {
       std::string manual;
       std::istringstream in(rep.deckText);
@@ -2496,17 +2536,7 @@ emit::EmissionReport Session::emitOpenMP(const emit::EmitOptions& opts) {
     // 3. Fresh re-analysis: the deck (directives re-lex as comments) must
     // produce a dependence graph byte-identical to the stripped source, at
     // every requested thread count.
-    std::string baseline;
-    {
-      DiagnosticEngine bd;
-      auto base = Session::load(stripped, bd);
-      if (!base) {
-        fail("stripped source failed to re-parse");
-      } else {
-        (void)base->analyzeParallel(1);
-        baseline = base->dependenceSnapshot();
-      }
-    }
+    if (!strippedParsed) fail("stripped source failed to re-parse");
     if (!baseline.empty()) {
       for (int n : opts.roundTripThreads) {
         DiagnosticEngine dd;

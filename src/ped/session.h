@@ -436,10 +436,11 @@ class Session {
   /// blocking dependence edges — never silently dropped. Emitted loops are
   /// relative-executed under shuffled schedules with the directive's
   /// data-sharing clauses applied (a divergence demotes the loop to
-  /// refused), and the emitted deck is round-tripped: re-lexed to the
-  /// exact directives written, and re-analyzed at the requested thread
-  /// counts to a dependence graph byte-identical to the directive-stripped
-  /// source. Settles deferred edits first.
+  /// refused; every schedule of every loop runs concurrently on one
+  /// interpreter Machine), and the emitted deck is round-tripped: re-lexed
+  /// to the exact directives written, and re-analyzed at the requested
+  /// thread counts to a dependence graph byte-identical to the
+  /// directive-stripped source. Settles deferred edits first.
   emit::EmissionReport emitOpenMP(const emit::EmitOptions& opts);
   emit::EmissionReport emitOpenMP() {
     return emitOpenMP(emit::EmitOptions());

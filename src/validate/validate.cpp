@@ -4,6 +4,7 @@
 #include <climits>
 #include <map>
 #include <sstream>
+#include <thread>
 
 namespace ps::validate {
 
@@ -166,44 +167,21 @@ bool TraceIndex::findWitness(const EdgeQuery& q,
 // Relative execution
 // ---------------------------------------------------------------------------
 
-RelativeResult relativeCheck(fortran::Program& program, fortran::StmtId loop,
-                             const interp::RunOptions& base,
-                             const interp::RunResult& serial,
-                             int schedules) {
-  RelativeResult rr;
-  rr.loop = loop;
-  fortran::Stmt* target = nullptr;
-  std::vector<fortran::Stmt*> parallelFlags;
-  for (const auto& u : program.units) {
-    u->forEachStmtMutable([&](fortran::Stmt& s) {
-      if (s.isParallel) parallelFlags.push_back(&s);
-      if (s.id == loop) target = &s;
-    });
-  }
-  if (!target || target->kind != fortran::StmtKind::Do) {
-    rr.detail = "loop statement not found";
-    return rr;
-  }
-  // Force every OTHER loop sequential so a divergence localizes to the
-  // claimed-parallel loop under test; restore all markings on exit.
-  const bool targetWas = target->isParallel;
-  for (fortran::Stmt* s : parallelFlags) s->isParallel = false;
-  target->isParallel = true;
-  rr.ran = true;
-  if (auto it = serial.stmtCounts.find(loop); it != serial.stmtCounts.end()) {
-    rr.serialExecutions = it->second;
-  }
+std::unique_ptr<support::TaskPool> batchPool(std::size_t runs) {
+  if (runs <= 1) return nullptr;
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::make_unique<support::TaskPool>(
+      static_cast<int>(std::min(hw, runs)));
+}
 
-  // One lowering serves every schedule: the Machine reads the PARALLEL
-  // markings flipped above at run time.
-  interp::Machine m(program);
-  for (int k = 0; k < schedules && !rr.diverged; ++k) {
-    interp::RunOptions o = base;
-    o.trace = nullptr;
-    o.checkParallel = true;
-    o.shuffleSeed =
-        base.shuffleSeed + 0x9e3779b9u * static_cast<unsigned>(k + 1);
-    interp::RunResult r = m.run(o);
+namespace {
+
+/// Judge one loop's schedule runs against the serial baseline, in schedule
+/// order; the first diverging schedule decides.
+void judge(const interp::RunResult& serial,
+           const std::vector<interp::RunResult>& runs, RelativeResult& rr) {
+  for (std::size_t k = 0; k < runs.size() && !rr.diverged; ++k) {
+    const interp::RunResult& r = runs[k];
     std::ostringstream os;
     if (!r.ok) {
       // The reordered schedule crashed a run the serial order completes:
@@ -215,7 +193,7 @@ RelativeResult relativeCheck(fortran::Program& program, fortran::StmtId loop,
       break;
     }
     for (const interp::Race& race : r.races) {
-      if (race.loop != loop) continue;
+      if (race.loop != rr.loop) continue;
       rr.diverged = true;
       rr.raceVariables.push_back(race.variable);
       if (rr.detail.empty()) {
@@ -245,14 +223,59 @@ RelativeResult relativeCheck(fortran::Program& program, fortran::StmtId loop,
       rr.detail += os.str();
     }
   }
-
-  target->isParallel = targetWas;
-  for (fortran::Stmt* s : parallelFlags) s->isParallel = true;
   std::sort(rr.raceVariables.begin(), rr.raceVariables.end());
   rr.raceVariables.erase(
       std::unique(rr.raceVariables.begin(), rr.raceVariables.end()),
       rr.raceVariables.end());
-  return rr;
+}
+
+}  // namespace
+
+std::vector<RelativeResult> relativeExecution(
+    const interp::Machine& machine, const std::vector<RelativeJob>& jobs,
+    const interp::RunResult& serial, int schedules, support::TaskPool* pool,
+    std::vector<std::function<void()>> alongside) {
+  const std::size_t perJob =
+      static_cast<std::size_t>(std::max(schedules, 0));
+  std::vector<std::vector<interp::RunResult>> runs(jobs.size());
+  std::vector<std::function<void()>> thunks = std::move(alongside);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (!machine.hasLoop(jobs[j].loop)) continue;
+    runs[j].resize(perJob);
+    for (std::size_t k = 0; k < perJob; ++k) {
+      thunks.push_back([&machine, &job = jobs[j], &out = runs[j][k], k] {
+        interp::RunOptions o = job.base;
+        o.trace = nullptr;
+        o.checkParallel = true;
+        o.onlyParallel = job.loop;
+        o.shuffleSeed = job.base.shuffleSeed +
+                        0x9e3779b9u * static_cast<unsigned>(k + 1);
+        out = machine.run(o);
+      });
+    }
+  }
+  if (pool) {
+    pool->runAll(std::move(thunks));
+  } else {
+    for (auto& fn : thunks) fn();
+  }
+
+  std::vector<RelativeResult> results(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    RelativeResult& rr = results[j];
+    rr.loop = jobs[j].loop;
+    if (!machine.hasLoop(rr.loop)) {
+      rr.detail = "loop statement not found";
+      continue;
+    }
+    rr.ran = true;
+    if (auto it = serial.stmtCounts.find(rr.loop);
+        it != serial.stmtCounts.end()) {
+      rr.serialExecutions = it->second;
+    }
+    judge(serial, runs[j], rr);
+  }
+  return results;
 }
 
 // ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@
 // explicit Unvalidated, never a silent pass.
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +44,7 @@
 #include "fortran/ast.h"
 #include "interp/machine.h"
 #include "interp/trace.h"
+#include "support/taskpool.h"
 
 namespace ps::validate {
 
@@ -136,15 +139,31 @@ struct RelativeResult {
   std::vector<std::string> raceVariables;
 };
 
-/// Run `loopStmt` under `schedules` shuffled parallel schedules (every
-/// other loop forced sequential so divergence localizes to THIS loop) and
-/// diff each run against the serial baseline. The program's parallel
-/// markings are restored before returning.
-[[nodiscard]] RelativeResult relativeCheck(fortran::Program& program,
-                                           fortran::StmtId loop,
-                                           const interp::RunOptions& base,
-                                           const interp::RunResult& serial,
-                                           int schedules);
+/// One loop to relative-execute, and the options its shuffled schedules
+/// start from (input, step cap, data-sharing clauses).
+struct RelativeJob {
+  fortran::StmtId loop = fortran::kInvalidStmt;
+  interp::RunOptions base;
+};
+
+/// A pool for a batch of `runs` independent interpreter runs:
+/// min(hardware threads, runs) workers, or none (run inline) when there is
+/// at most one run.
+[[nodiscard]] std::unique_ptr<support::TaskPool> batchPool(std::size_t runs);
+
+/// Relative execution of every job: its loop alone runs as PARALLEL (every
+/// other loop sequential, so a divergence localizes to that loop) under
+/// `schedules` shuffled schedules on `machine`, and each schedule is diffed
+/// against the serial baseline. All runs of all jobs, plus the `alongside`
+/// thunks, execute as one batch on `pool` (inline, in order, when null);
+/// results are judged afterwards, per job in schedule order, and the first
+/// diverging schedule decides. `serial` is read only once the whole batch
+/// has finished, so an `alongside` thunk may be the one that fills it.
+/// Returns one result per job, in job order.
+[[nodiscard]] std::vector<RelativeResult> relativeExecution(
+    const interp::Machine& machine, const std::vector<RelativeJob>& jobs,
+    const interp::RunResult& serial, int schedules, support::TaskPool* pool,
+    std::vector<std::function<void()>> alongside = {});
 
 /// Aggregate result of one Session::validateDeletions pass.
 struct ValidationReport {

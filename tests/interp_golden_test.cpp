@@ -13,18 +13,22 @@
 // runs: a serial traced run; one trace-recording run with every marked loop
 // PARALLEL at once (nested race contexts); three shuffled schedules per
 // marked loop with the emission plan's clauses, every other loop forced
-// sequential exactly as relative validation does; and a tiny-budget traced
-// run that overflows the event, node and element caps. One Machine serves
-// all runs of a deck, so lowering reuse across flipped PARALLEL flags is
-// covered too. Small hand-written decks pin the edge paths.
+// sequential through RunOptions::onlyParallel exactly as relative
+// validation does; and a tiny-budget traced run that overflows the event,
+// node and element caps. One Machine serves all runs of a deck, and the
+// schedules are run a second time concurrently on it through a 4-wide
+// TaskPool, which must reproduce the same digest. Small hand-written decks
+// pin the edge paths.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,7 @@
 #include "ped/session.h"
 #include "support/diagnostics.h"
 #include "support/hash.h"
+#include "support/taskpool.h"
 #include "workloads/emission_driver.h"
 #include "workloads/workloads.h"
 
@@ -185,18 +190,15 @@ TEST_P(GoldenDecks, RunsMatchPinnedDigests) {
   ASSERT_TRUE(plan.ran) << plan.error;
   ASSERT_FALSE(plan.loops.empty());
 
-  fortran::Program& program = s->program();
-  std::map<fortran::StmtId, fortran::Stmt*> byId;
-  std::vector<fortran::Stmt*> marked;
+  const fortran::Program& program = s->program();
+  bool anyMarked = false;
   for (const auto& u : program.units) {
-    u->forEachStmtMutable([&](fortran::Stmt& st) {
-      byId[st.id] = &st;
-      if (st.isParallel) marked.push_back(&st);
-    });
+    u->forEachStmt(
+        [&](const fortran::Stmt& st) { anyMarked |= st.isParallel; });
   }
-  ASSERT_FALSE(marked.empty());
+  ASSERT_TRUE(anyMarked);
 
-  Machine m(program);
+  const Machine m(program);
   DeckPins got{};
 
   {
@@ -225,33 +227,51 @@ TEST_P(GoldenDecks, RunsMatchPinnedDigests) {
     got.allParallelTraced = d.hash();
   }
   {
+    auto scheduleOptions = [](const emit::LoopEmission& le, int k) {
+      RunOptions o;
+      o.maxSteps = kMaxSteps;
+      o.onlyParallel = le.loop;
+      o.shuffleSeed = 12345u + 0x9e3779b9u * static_cast<unsigned>(k + 1);
+      o.parallelClauses[le.loop] = le.interpClauses;
+      return o;
+    };
     Digest d;
     for (const emit::LoopEmission& le : plan.loops) {
-      auto it = byId.find(le.loop);
-      ASSERT_NE(it, byId.end());
-      for (fortran::Stmt* st : marked) st->isParallel = false;
-      it->second->isParallel = true;
+      ASSERT_TRUE(m.hasLoop(le.loop)) << "loop " << le.loop;
       for (int k = 0; k < 3; ++k) {
-        RunOptions o;
-        o.maxSteps = kMaxSteps;
-        o.shuffleSeed = 12345u + 0x9e3779b9u * static_cast<unsigned>(k + 1);
-        o.parallelClauses[le.loop] = le.interpClauses;
+        const RunOptions o = scheduleOptions(le, k);
         const RunResult r = m.run(o);
         d.u64(le.loop);
         d.run(r);
         if (k == 0) {
           // A fresh machine agrees with the reused one.
-          Machine fresh(program);
+          const Machine fresh(program);
           Digest a, b;
           a.run(r);
           b.run(fresh.run(o));
           EXPECT_EQ(a.hash(), b.hash()) << "loop " << le.loop;
         }
       }
-      it->second->isParallel = false;
-      for (fortran::Stmt* st : marked) st->isParallel = true;
     }
     got.schedules = d.hash();
+
+    // The same schedules, all at once on the one Machine.
+    std::vector<RunResult> runs(plan.loops.size() * 3);
+    std::vector<std::function<void()>> thunks;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      thunks.push_back([&, i] {
+        runs[i] = m.run(scheduleOptions(plan.loops[i / 3],
+                                        static_cast<int>(i % 3)));
+      });
+    }
+    support::TaskPool pool(4);
+    pool.runAll(std::move(thunks));
+    Digest c;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      c.u64(plan.loops[i / 3].loop);
+      c.run(runs[i]);
+    }
+    EXPECT_EQ(c.hash(), got.schedules) << "concurrent schedules";
   }
   {
     Trace trace;
@@ -332,6 +352,27 @@ std::uint64_t edgeDigest(const char* src, long long maxSteps,
   }
   return d.hash();
 }
+
+/// An outer PARALLEL DO whose body calls a subroutine that RETURNs out of
+/// its own PARALLEL DO: the outer loop must still report its races.
+constexpr char kReturnInsideNestedParallel[] =
+    "      PROGRAM RN\n"
+    "      DIMENSION B(6)\n"
+    "      S = 0.0\n"
+    "      PARALLEL DO J = 1, 6\n"
+    "        S = S + 1.0\n"
+    "        B(1) = B(1) + J\n"
+    "        CALL EARLY(B, J)\n"
+    "      ENDDO\n"
+    "      WRITE(6, *) S, B(1)\n"
+    "      END\n"
+    "      SUBROUTINE EARLY(V, J)\n"
+    "      DIMENSION V(6)\n"
+    "      PARALLEL DO K = 1, 6\n"
+    "        V(K) = V(K) + 1.0\n"
+    "        IF (K .EQ. J) RETURN\n"
+    "      ENDDO\n"
+    "      END\n";
 
 struct Edge {
   const char* name;
@@ -591,6 +632,7 @@ const std::vector<Edge>& edges() {
        "        IF (K .EQ. J) RETURN\n"
        "      ENDDO\n"
        "      END\n"},
+      {"return_inside_nested_parallel", kReturnInsideNestedParallel},
       {"read_input_uninit_and_parameter",
        "      PROGRAM RI\n"
        "      PARAMETER (N = 4, H = 0.5)\n"
@@ -647,6 +689,7 @@ const std::map<std::string, std::uint64_t>& edgePins() {
       {"runtime_errors_division", 0xfcaa225beca04a6d},
       {"races_nested_common_and_temps", 0xf61fae297132dcc9},
       {"return_inside_parallel", 0xcddfb2128455827a},
+      {"return_inside_nested_parallel", 0x617baa210a035cc9},
       {"read_input_uninit_and_parameter", 0x1bcbf55371ec1025},
   };
   return pins;
@@ -661,6 +704,37 @@ TEST(GoldenEdges, RunsMatchPinnedDigests) {
     ASSERT_TRUE(error.empty()) << e.name << ": " << error;
     EXPECT_EQ(h, edgePins().at(e.name)) << e.name << " " << hex(h);
   }
+}
+
+/// Variables the races of the first DO loop (the outer PARALLEL DO J) name.
+std::set<std::string> outerRaceVariables(const std::string& src) {
+  DiagnosticEngine diags;
+  auto prog = fortran::parseSource(src, diags);
+  EXPECT_TRUE(prog && !diags.hasErrors()) << diags.dump();
+  if (!prog) return {};
+  fortran::StmtId outer = fortran::kInvalidStmt;
+  prog->units.front()->forEachStmt([&](const fortran::Stmt& st) {
+    if (st.kind == fortran::StmtKind::Do && outer == fortran::kInvalidStmt) {
+      outer = st.id;
+    }
+  });
+  const RunResult r = Machine(*prog).run();
+  EXPECT_TRUE(r.ok) << r.error;
+  std::set<std::string> vars;
+  for (const Race& race : r.races) {
+    if (race.loop == outer) vars.insert(race.variable);
+  }
+  return vars;
+}
+
+TEST(GoldenEdges, ReturnFromNestedParallelKeepsOuterRaces) {
+  std::string noReturn = kReturnInsideNestedParallel;
+  const std::string early = "        IF (K .EQ. J) RETURN\n";
+  noReturn.replace(noReturn.find(early), early.size(),
+                   "        IF (K .EQ. J) V(K) = V(K)\n");
+  const std::set<std::string> want = outerRaceVariables(noReturn);
+  EXPECT_TRUE(want.count("S") && want.count("B"));
+  EXPECT_EQ(outerRaceVariables(kReturnInsideNestedParallel), want);
 }
 
 /// The messages the edge decks pin by hash, spelled out so a mismatch

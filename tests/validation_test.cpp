@@ -20,6 +20,7 @@
 #include "interp/machine.h"
 #include "ped/session.h"
 #include "support/diagnostics.h"
+#include "support/taskpool.h"
 #include "validate/validate.h"
 #include "workloads/harness.h"
 #include "workloads/workloads.h"
@@ -283,13 +284,77 @@ TEST(RelativeExecution, RecurrenceLoopDivergesUnderShuffledSchedules) {
   auto loops = s->loops();
   ASSERT_FALSE(loops.empty());
   interp::RunOptions base;
-  interp::RunResult serial = s->profile(base);
+  const interp::Machine m(s->program());
+  const interp::RunResult serial = m.run(base);
   ASSERT_TRUE(serial.ok) << serial.error;
-  validate::RelativeResult rr = validate::relativeCheck(
-      s->program(), loops[0].id, base, serial, /*schedules=*/3);
-  EXPECT_TRUE(rr.ran);
-  EXPECT_TRUE(rr.diverged) << rr.detail;
-  EXPECT_FALSE(rr.detail.empty());
+  const std::vector<validate::RelativeResult> rr = validate::relativeExecution(
+      m, {{loops[0].id, base}}, serial, /*schedules=*/3, /*pool=*/nullptr);
+  ASSERT_EQ(rr.size(), 1u);
+  EXPECT_TRUE(rr[0].ran);
+  EXPECT_TRUE(rr[0].diverged) << rr[0].detail;
+  EXPECT_FALSE(rr[0].detail.empty());
+}
+
+// A recurrence the user marked PARALLEL, then an independent loop.
+constexpr char kTwoLoops[] =
+    "      PROGRAM TWOLP\n"
+    "      DIMENSION A(50), B(50)\n"
+    "      A(1) = 1.0\n"
+    "      PARALLEL DO 10 I = 2, 50\n"
+    "        A(I) = A(I-1) + 1.0\n"
+    "10    CONTINUE\n"
+    "      DO 20 J = 1, 50\n"
+    "        B(J) = J * 2.0\n"
+    "20    CONTINUE\n"
+    "      PRINT *, A(50), B(50)\n"
+    "      END\n";
+
+TEST(RelativeExecution, BatchJudgesEveryLoopInJobOrder) {
+  auto s = loadSource(kTwoLoops, "twolp");
+  ASSERT_NE(s, nullptr);
+  const auto loops = s->loops();
+  ASSERT_EQ(loops.size(), 2u);
+  ASSERT_TRUE(loops[0].parallel);
+  ASSERT_FALSE(loops[1].parallel);
+  const fortran::StmtId recurrence = loops[0].id;
+  const fortran::StmtId clean = loops[1].id;
+
+  interp::RunOptions base;
+  base.checkParallel = false;
+  const interp::Machine m(s->program());
+  const interp::RunResult serial = m.run(base);
+  ASSERT_TRUE(serial.ok) << serial.error;
+
+  // The clean loop goes first, so job order is not program order. Its
+  // schedules run the user's PARALLEL recurrence sequentially.
+  support::TaskPool pool(4);
+  const std::vector<validate::RelativeResult> rr = validate::relativeExecution(
+      m, {{clean, base}, {recurrence, base}}, serial, /*schedules=*/3, &pool);
+  ASSERT_EQ(rr.size(), 2u);
+  EXPECT_EQ(rr[0].loop, clean);
+  EXPECT_TRUE(rr[0].ran);
+  EXPECT_FALSE(rr[0].diverged) << rr[0].detail;
+  EXPECT_GT(rr[0].serialExecutions, 0);
+
+  // Every schedule of the recurrence races; the first one decides alone.
+  EXPECT_EQ(rr[1].loop, recurrence);
+  EXPECT_TRUE(rr[1].ran);
+  ASSERT_TRUE(rr[1].diverged);
+  EXPECT_EQ(rr[1].detail.rfind("schedule 0: cross-iteration read-write "
+                               "conflict on A (iterations ",
+                               0),
+            0u)
+      << rr[1].detail;
+  EXPECT_EQ(rr[1].detail.find("schedule 1"), std::string::npos)
+      << rr[1].detail;
+  EXPECT_EQ(rr[1].raceVariables, std::vector<std::string>{"A"});
+
+  // Relative execution never touches the program's markings.
+  const auto after = s->loops();
+  ASSERT_EQ(after.size(), loops.size());
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    EXPECT_EQ(after[i].parallel, loops[i].parallel) << "loop " << i;
+  }
 }
 
 TEST(ValidateDeletions, RelativeCheckRestoresInterproceduralDeletion) {
