@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "fortran/parser.h"
 #include "support/diagnostics.h"
 
@@ -71,6 +73,10 @@ struct RoundTripCase {
   const char* name;
   const char* source;
 };
+
+// Without this gtest prints the case as its raw bytes, i.e. two string
+// addresses, and the discovered test names change with every load address.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class RoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
