@@ -1,12 +1,10 @@
-// Substrate A/B microbenchmarks: the mutex baseline vs the lock-free
-// Chase–Lev + open-addressing substrate, in one process (both backends stay
-// compiled; the DepMemo/TaskPool constructor overrides select per instance).
+// Contention microbenchmarks for the two shared concurrent structures:
 //
 //   - DepMemo: N threads run a mixed lookup/insert/invalidateView workload
-//     over a shared key universe; reported as ops/sec plus the lock-free
-//     backend's CAS-retry count (slot-claim races + sealed-array respins).
+//     over a shared key universe; reported as ops/sec plus the table's
+//     CAS-retry count (slot-claim races + sealed-array respins).
 //   - TaskPool: N external threads submit trivial tasks against a 4-worker
-//     pool; reported as tasks/sec plus steals and steal-CAS aborts.
+//     pool; reported as tasks/sec plus steals.
 //
 // Single-run wall-clock numbers, deliberately not google-benchmark: the
 // interesting outputs are the contention counters next to the rates, and
@@ -51,8 +49,8 @@ struct MemoRun {
   std::uint64_t retries = 0;
 };
 
-MemoRun runMemoMixed(bool lockfree, int threads, int opsPerThread) {
-  ps::dep::DepMemo memo(lockfree);
+MemoRun runMemoMixed(int threads, int opsPerThread) {
+  ps::dep::DepMemo memo;
   constexpr int kKeys = 256;
   std::vector<ps::dep::MemoKey> keys;
   keys.reserve(kKeys);
@@ -102,11 +100,10 @@ MemoRun runMemoMixed(bool lockfree, int threads, int opsPerThread) {
 struct PoolRun {
   double tasksPerSec = 0.0;
   std::uint64_t steals = 0;
-  std::uint64_t stealAborts = 0;
 };
 
-PoolRun runPoolSubmitSteal(bool lockfree, int submitters, int tasksEach) {
-  ps::support::TaskPool pool(4, lockfree);
+PoolRun runPoolSubmitSteal(int submitters, int tasksEach) {
+  ps::support::TaskPool pool(4);
   std::atomic<long long> ran{0};
   ps::support::WaitGroup wg;
   const auto t0 = Clock::now();
@@ -126,7 +123,6 @@ PoolRun runPoolSubmitSteal(bool lockfree, int submitters, int tasksEach) {
   PoolRun out;
   out.tasksPerSec = static_cast<double>(submitters) * tasksEach / secs;
   out.steals = pool.steals();
-  out.stealAborts = pool.stealAborts();
   return out;
 }
 
@@ -138,29 +134,20 @@ int main() {
 
   std::printf("DepMemo mixed workload (70%% lookup / 25%% insert / 5%% "
               "invalidateView, %d ops/thread):\n", kMemoOps);
-  std::printf("  %-9s %8s %14s %12s\n", "backend", "threads", "ops/sec",
-              "cas-retries");
-  for (int threads : {1, 8}) {
-    for (bool lockfree : {false, true}) {
-      const MemoRun r = runMemoMixed(lockfree, threads, kMemoOps);
-      std::printf("  %-9s %8d %14.0f %12llu\n",
-                  lockfree ? "lockfree" : "mutex", threads, r.opsPerSec,
-                  static_cast<unsigned long long>(r.retries));
-    }
+  std::printf("  %8s %14s %12s\n", "threads", "ops/sec", "cas-retries");
+  for (int threads : {1, 2, 4, 8}) {
+    const MemoRun r = runMemoMixed(threads, kMemoOps);
+    std::printf("  %8d %14.0f %12llu\n", threads, r.opsPerSec,
+                static_cast<unsigned long long>(r.retries));
   }
 
   std::printf("\nTaskPool submit/steal (4 workers, %d tasks/submitter):\n",
               kPoolTasksEach);
-  std::printf("  %-9s %11s %14s %9s %8s\n", "backend", "submitters",
-              "tasks/sec", "steals", "aborts");
-  for (int submitters : {1, 8}) {
-    for (bool lockfree : {false, true}) {
-      const PoolRun r = runPoolSubmitSteal(lockfree, submitters, kPoolTasksEach);
-      std::printf("  %-9s %11d %14.0f %9llu %8llu\n",
-                  lockfree ? "lockfree" : "mutex", submitters, r.tasksPerSec,
-                  static_cast<unsigned long long>(r.steals),
-                  static_cast<unsigned long long>(r.stealAborts));
-    }
+  std::printf("  %11s %14s %9s\n", "submitters", "tasks/sec", "steals");
+  for (int submitters : {1, 2, 4, 8}) {
+    const PoolRun r = runPoolSubmitSteal(submitters, kPoolTasksEach);
+    std::printf("  %11d %14.0f %9llu\n", submitters, r.tasksPerSec,
+                static_cast<unsigned long long>(r.steals));
   }
   return 0;
 }

@@ -84,15 +84,13 @@ scrub_pdb_cache
 # -fsanitize=thread and run the parallel determinism suites (whole-program
 # batch + incremental edit storm) plus the DepMemo stress test. Any data
 # race in the pool, the task DAG, the sharded memo, the pipelined summary
-# nodes or the per-nest fan-out fails CI here. (Under TSan the lock-free
-# substrate promotes its orderings to seq_cst — see support/lockfree.h —
-# because TSan does not model standalone fences; the structures and their
-# interleavings are otherwise the ones production runs.)
+# nodes or the per-nest fan-out fails CI here. The memo and the epoch
+# reclaimer use no standalone fences, so TSan sees exactly the orderings
+# production runs.
 cmake -B build-tsan -S . -DPS_TSAN=ON
 cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test depmemo_concurrent_test warm_start_test pdb_persistence_test validation_test lockfree_test emission_test interp_golden_test
-# Lock-free substrate stress: Chase–Lev owner-vs-thieves and resize-under-
-# steal, MPMC channel loss/dup, epoch-reclamation use-after-retire canaries,
-# DepMemo invalidation storms on BOTH backends.
+# Concurrency substrate stress: epoch-reclamation use-after-retire
+# canaries, DepMemo invalidation and growth storms, TaskPool submit storms.
 ./build-tsan/tests/lockfree_test
 ./build-tsan/tests/depmemo_concurrent_test
 ./build-tsan/tests/parallel_analysis_test
@@ -103,13 +101,13 @@ cmake --build build-tsan -j --target parallel_analysis_test edit_storm_test depm
 # race between the validator's graph writes and the analysis engine, or
 # between two schedule runs, fails here.
 ./build-tsan/tests/validation_test
-# Emission under TSan on the lock-free substrate: relative validation runs
+# Emission under TSan: relative validation runs
 # the serial baseline and every loop's shuffled schedules concurrently on
 # one shared interpreter Machine, alongside the directive-stripped
 # re-analysis, and the round trip fans the emitted deck through the task
 # pool at 1/2/4/8 threads — any race between concurrent runs, the
 # emitter's snapshotting and the analysis engine fails here.
-PS_LOCKFREE=1 ./build-tsan/tests/emission_test
+./build-tsan/tests/emission_test
 # Concurrent interpreter runs: every deck's shuffled schedules run at once
 # on one Machine through a 4-wide pool and must reproduce the sequential
 # digests; any state two runs share unsynchronized fails here.
@@ -132,13 +130,3 @@ cmake --build build-tsan -j --target server_storm_test io_atomic_test
 ./build-tsan/tests/io_atomic_test
 ./build-tsan/tests/server_storm_test
 scrub_pdb_cache
-
-# Substrate A/B stage: one pass of the storm suites pinned to each
-# substrate. PS_LOCKFREE=1 is the default path (Chase–Lev deques +
-# open-addressing memo); PS_LOCKFREE=0 is the mutex baseline that must stay
-# green for bench_contention comparisons and substrate bisection.
-for lf in 1 0; do
-  PS_LOCKFREE=$lf ./build-tsan/tests/edit_storm_test
-  PS_LOCKFREE=$lf ./build-tsan/tests/server_storm_test
-  scrub_pdb_cache
-done

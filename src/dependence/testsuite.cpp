@@ -6,7 +6,6 @@
 #include "dependence/fm.h"
 #include "support/ebr.h"
 #include "support/hash.h"
-#include "support/lockfree.h"
 
 namespace ps::dep {
 
@@ -88,20 +87,18 @@ inline std::size_t probeStart(std::uint64_t hash, std::size_t mask) {
 
 }  // namespace
 
-DepMemo::DepMemo(std::optional<bool> lockfree)
-    : lockfree_(lockfree.value_or(support::lockfreeDefault())),
-      floors_(1, 0) {}
+DepMemo::DepMemo() : floors_(1, 0) {}
 
 DepMemo::~DepMemo() {
   // Records and their current boxes are owned by the live tables. Boxes
   // and arrays retired earlier sit in the epoch domain's limbo as opaque
   // heap blocks — they reference no memo state and are freed when their
   // grace period lapses, independent of this object's lifetime.
-  for (LfShard& sh : lfShards_) {
-    LfTable* t = sh.table.load(std::memory_order_acquire);
+  for (Shard& sh : shards_) {
+    Table* t = sh.table.load(std::memory_order_acquire);
     if (t == nullptr) continue;
     for (std::size_t i = 0; i <= t->mask; ++i) {
-      LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
+      Record* rec = t->slots[i].load(std::memory_order_acquire);
       if (rec == nullptr || rec == sealedSlot()) continue;
       delete rec->box.load(std::memory_order_acquire);
       delete rec;
@@ -110,22 +107,22 @@ DepMemo::~DepMemo() {
   }
 }
 
-std::optional<LevelResult> DepMemo::lookupLf(const MemoKey& key,
-                                             std::uint64_t floor,
-                                             std::uint64_t cap) const {
-  const LfShard& sh = lfShards_[key.hash % kShards];
+std::optional<LevelResult> DepMemo::lookup(const MemoKey& key,
+                                           std::uint64_t floor,
+                                           std::uint64_t cap) const {
+  const Shard& sh = shards_[key.hash % kShards];
   support::EpochGuard guard;
-  const LfTable* t = sh.table.load(std::memory_order_acquire);
+  const Table* t = sh.table.load(std::memory_order_acquire);
   if (t == nullptr) return std::nullopt;
   std::size_t i = probeStart(key.hash, t->mask);
   for (std::size_t probes = 0; probes <= t->mask;
        ++probes, i = (i + 1) & t->mask) {
-    LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
+    Record* rec = t->slots[i].load(std::memory_order_acquire);
     // A null (or sealed — "was null when this array was frozen") slot ends
     // the probe chain: the key was never inserted under this hash run.
     if (rec == nullptr || rec == sealedSlot()) return std::nullopt;
     if (rec->hash != key.hash || rec->key != key.text) continue;
-    const LfBox* box = rec->box.load(std::memory_order_acquire);
+    const Box* box = rec->box.load(std::memory_order_acquire);
     if (box == nullptr || box->gen < floor || box->gen > cap) {
       return std::nullopt;
     }
@@ -134,11 +131,11 @@ std::optional<LevelResult> DepMemo::lookupLf(const MemoKey& key,
   return std::nullopt;
 }
 
-void DepMemo::insertLf(const MemoKey& key, const LevelResult& result,
-                       std::uint64_t gen) {
-  LfShard& sh = lfShards_[key.hash % kShards];
+void DepMemo::insert(const MemoKey& key, const LevelResult& result,
+                     std::uint64_t gen) {
+  Shard& sh = shards_[key.hash % kShards];
   support::EpochGuard guard;
-  LfRecord* fresh = nullptr;  // built lazily, reused across retries
+  Record* fresh = nullptr;  // built lazily, reused across retries
   const auto cleanup = [&fresh] {
     if (fresh != nullptr) {
       delete fresh->box.load(std::memory_order_relaxed);
@@ -146,7 +143,7 @@ void DepMemo::insertLf(const MemoKey& key, const LevelResult& result,
     }
   };
   for (;;) {
-    LfTable* t = sh.table.load(std::memory_order_acquire);
+    Table* t = sh.table.load(std::memory_order_acquire);
     if (t == nullptr) {
       growShard(sh, nullptr);
       continue;
@@ -155,15 +152,15 @@ void DepMemo::insertLf(const MemoKey& key, const LevelResult& result,
     std::size_t i = probeStart(key.hash, t->mask);
     for (std::size_t probes = 0; probes <= t->mask;
          ++probes, i = (i + 1) & t->mask) {
-      LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
+      Record* rec = t->slots[i].load(std::memory_order_acquire);
       if (rec == nullptr) {
         if (fresh == nullptr) {
-          fresh = new LfRecord;
+          fresh = new Record;
           fresh->hash = key.hash;
           fresh->key = key.text;
-          fresh->box.store(new LfBox{result, gen}, std::memory_order_relaxed);
+          fresh->box.store(new Box{result, gen}, std::memory_order_relaxed);
         }
-        LfRecord* expected = nullptr;
+        Record* expected = nullptr;
         if (t->slots[i].compare_exchange_strong(expected, fresh,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {
@@ -182,14 +179,13 @@ void DepMemo::insertLf(const MemoKey& key, const LevelResult& result,
         break;
       }
       if (rec->hash == key.hash && rec->key == key.text) {
-        // Same key: swap in a new box (last writer wins, matching the
-        // mutex backend's table[key] = entry) and retire the old one —
-        // a concurrent reader may be mid-copy on it.
-        auto* box = new LfBox{result, gen};
-        LfBox* old = rec->box.exchange(box, std::memory_order_acq_rel);
+        // Same key: swap in a new box (last writer wins) and retire the
+        // old one — a concurrent reader may be mid-copy on it.
+        auto* box = new Box{result, gen};
+        Box* old = rec->box.exchange(box, std::memory_order_acq_rel);
         if (old != nullptr) {
           support::EpochDomain::global().retire(old, [](void* p) {
-            delete static_cast<LfBox*>(p);
+            delete static_cast<Box*>(p);
           });
         }
         cleanup();
@@ -210,30 +206,30 @@ void DepMemo::insertLf(const MemoKey& key, const LevelResult& result,
   }
 }
 
-void DepMemo::growShard(LfShard& sh, const LfTable* from) {
+void DepMemo::growShard(Shard& sh, const Table* from) {
   std::lock_guard<std::mutex> lk(sh.growMu);
-  LfTable* cur = sh.table.load(std::memory_order_acquire);
+  Table* cur = sh.table.load(std::memory_order_acquire);
   if (cur != from) return;  // another writer already created/doubled it
-  auto* bigger = new LfTable;
+  auto* bigger = new Table;
   const std::size_t newCap = cur == nullptr ? kInitialSlots : (cur->mask + 1) * 2;
   bigger->mask = newCap - 1;
-  bigger->slots = std::make_unique<std::atomic<LfRecord*>[]>(newCap);
+  bigger->slots = std::make_unique<std::atomic<Record*>[]>(newCap);
   if (cur != nullptr) {
     // Seal: claim every empty slot so no insert can land in the old array
     // after migration reads it. Post-seal each slot is a record or the
     // sentinel, permanently.
     for (std::size_t i = 0; i <= cur->mask; ++i) {
-      LfRecord* p = cur->slots[i].load(std::memory_order_acquire);
+      Record* p = cur->slots[i].load(std::memory_order_acquire);
       while (p == nullptr &&
              !cur->slots[i].compare_exchange_weak(
-                 p, static_cast<LfRecord*>(sealedSlot()),
+                 p, static_cast<Record*>(sealedSlot()),
                  std::memory_order_acq_rel, std::memory_order_acquire)) {
       }
     }
     // Migrate the stable record pointers. Plain stores: the new array is
     // unpublished, nobody else can see it yet.
     for (std::size_t i = 0; i <= cur->mask; ++i) {
-      LfRecord* rec = cur->slots[i].load(std::memory_order_relaxed);
+      Record* rec = cur->slots[i].load(std::memory_order_relaxed);
       if (rec == sealedSlot()) continue;
       std::size_t j = probeStart(rec->hash, bigger->mask);
       while (bigger->slots[j].load(std::memory_order_relaxed) != nullptr) {
@@ -247,7 +243,7 @@ void DepMemo::growShard(LfShard& sh, const LfTable* from) {
     // Readers that loaded the superseded array are still probing it; the
     // epoch domain frees it only after every pinned reader is gone.
     support::EpochDomain::global().retire(
-        cur, [](void* p) { delete static_cast<LfTable*>(p); });
+        cur, [](void* p) { delete static_cast<Table*>(p); });
   }
 }
 
@@ -276,42 +272,10 @@ std::uint64_t DepMemo::floorOf(ViewId v) const {
   return v < floors_.size() ? floors_[v] : 0;
 }
 
-std::optional<LevelResult> DepMemo::lookup(const MemoKey& key,
-                                           std::uint64_t floor,
-                                           std::uint64_t cap) const {
-  if (lockfree_) return lookupLf(key, floor, cap);
-  Shard& s = shardFor(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  auto it = s.table.find(key.text);
-  if (it == s.table.end() || it->second.gen < floor || it->second.gen > cap) {
-    return std::nullopt;
-  }
-  return it->second.result;
-}
-
-void DepMemo::insert(const MemoKey& key, const LevelResult& result,
-                     std::uint64_t gen) {
-  if (lockfree_) {
-    insertLf(key, result, gen);
-    return;
-  }
-  Shard& s = shardFor(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.table[key.text] = Entry{result, gen};
-}
-
 std::size_t DepMemo::size() const {
-  if (lockfree_) {
-    std::size_t total = 0;
-    for (const LfShard& s : lfShards_) {
-      total += s.count.load(std::memory_order_acquire);
-    }
-    return total;
-  }
   std::size_t total = 0;
   for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    total += s.table.size();
+    total += s.count.load(std::memory_order_acquire);
   }
   return total;
 }
@@ -320,28 +284,17 @@ std::vector<std::pair<std::string, LevelResult>> DepMemo::exportEntries(
     ViewId view) const {
   const std::uint64_t floor = floorOf(view);
   std::vector<std::pair<std::string, LevelResult>> out;
-  if (lockfree_) {
-    support::EpochGuard guard(support::EpochDomain::global());
-    for (const LfShard& s : lfShards_) {
-      const LfTable* t = s.table.load(std::memory_order_acquire);
-      if (t == nullptr) continue;
-      for (std::size_t i = 0; i <= t->mask; ++i) {
-        const LfRecord* rec = t->slots[i].load(std::memory_order_acquire);
-        if (rec == nullptr || rec == sealedSlot()) continue;
-        const LfBox* box = rec->box.load(std::memory_order_acquire);
-        if (box != nullptr && box->gen >= floor) {
-          out.emplace_back(rec->key, box->result);
-        }
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return out;
-  }
+  support::EpochGuard guard(support::EpochDomain::global());
   for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    for (const auto& [key, entry] : s.table) {
-      if (entry.gen >= floor) out.emplace_back(key, entry.result);
+    const Table* t = s.table.load(std::memory_order_acquire);
+    if (t == nullptr) continue;
+    for (std::size_t i = 0; i <= t->mask; ++i) {
+      const Record* rec = t->slots[i].load(std::memory_order_acquire);
+      if (rec == nullptr || rec == sealedSlot()) continue;
+      const Box* box = rec->box.load(std::memory_order_acquire);
+      if (box != nullptr && box->gen >= floor) {
+        out.emplace_back(rec->key, box->result);
+      }
     }
   }
   std::sort(out.begin(), out.end(),

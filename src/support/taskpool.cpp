@@ -91,7 +91,7 @@ TaskPool::IdleStats TaskPool::IdleStats::since(const IdleStats& start) const {
   return d;
 }
 
-TaskPool::TaskPool(int nThreads, std::optional<bool> lockfree) {
+TaskPool::TaskPool(int nThreads) {
   if (nThreads <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
     nThreads = hw == 0 ? 1 : static_cast<int>(hw);
@@ -104,21 +104,13 @@ TaskPool::TaskPool(int nThreads, std::optional<bool> lockfree) {
   }
   if (threadCount_ == 1) {
     // Deterministic reference path: one FIFO, no workers; wait() drains the
-    // queue inline in exact submission order. Substrate-independent.
+    // queue inline in exact submission order.
     queues_.push_back(std::make_unique<Queue>());
     return;
   }
-  lockfree_ = lockfree.value_or(lockfreeDefault());
-  if (lockfree_) {
-    lf_.reserve(static_cast<std::size_t>(threadCount_));
-    for (int i = 0; i < threadCount_; ++i) {
-      lf_.push_back(std::make_unique<LfWorker>());
-    }
-  } else {
-    queues_.reserve(static_cast<std::size_t>(threadCount_));
-    for (int i = 0; i < threadCount_; ++i) {
-      queues_.push_back(std::make_unique<Queue>());
-    }
+  queues_.reserve(static_cast<std::size_t>(threadCount_));
+  for (int i = 0; i < threadCount_; ++i) {
+    queues_.push_back(std::make_unique<Queue>());
   }
   workers_.reserve(static_cast<std::size_t>(threadCount_));
   for (int i = 0; i < threadCount_; ++i) {
@@ -130,14 +122,6 @@ TaskPool::~TaskPool() {
   stop_.store(true, std::memory_order_release);
   idleCv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  // Abandoned tasks (a caller that never waited) are dropped, matching the
-  // mutex substrate where ~deque discards them; on the lock-free substrate
-  // they are heap nodes and must be deleted explicitly.
-  for (auto& w : lf_) {
-    void* p = nullptr;
-    while ((p = w->deque.popBottom()) != nullptr) delete static_cast<Task*>(p);
-    while (w->inbox.tryPop(&p)) delete static_cast<Task*>(p);
-  }
 }
 
 std::size_t TaskPool::telemetryRow(int slot) const {
@@ -146,45 +130,15 @@ std::size_t TaskPool::telemetryRow(int slot) const {
              : static_cast<std::size_t>(threadCount_);
 }
 
-void TaskPool::wakeOne() {
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) idleCv_.notify_one();
-}
-
 void TaskPool::submit(WaitGroup& wg, std::function<void()> fn) {
   wg.pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (!lockfree_) {
-    std::size_t slot =
-        nextQueue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    {
-      std::lock_guard<std::mutex> lk(queues_[slot]->mu);
-      queues_[slot]->tasks.push_back(Task{std::move(fn), &wg});
-    }
-    idleCv_.notify_one();
-    return;
+  std::size_t slot =
+      nextQueue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
+  {
+    std::lock_guard<std::mutex> lk(queues_[slot]->mu);
+    queues_[slot]->tasks.push_back(Task{std::move(fn), &wg});
   }
-  Task* task = new Task{std::move(fn), &wg};
-  if (tlsWorker.pool == this && tlsWorker.slot >= 0) {
-    // Worker thread spawning a subtask (per-nest fan-out): owner push onto
-    // its own deque — the uncontended hot path.
-    lf_[static_cast<std::size_t>(tlsWorker.slot)]->deque.pushBottom(task);
-  } else {
-    // External thread: round-robin into the per-worker submission channels.
-    const std::size_t n = lf_.size();
-    const std::size_t start =
-        nextQueue_.fetch_add(1, std::memory_order_relaxed) % n;
-    for (;;) {
-      bool pushed = false;
-      for (std::size_t i = 0; i < n && !pushed; ++i) {
-        pushed = lf_[(start + i) % n]->inbox.tryPush(task);
-      }
-      if (pushed) break;
-      // Every channel is full (a pathological burst): help drain by
-      // executing one task inline, then retry — backpressure that makes
-      // progress instead of blocking.
-      if (!tryRunOne(-1)) std::this_thread::yield();
-    }
-  }
-  wakeOne();
+  idleCv_.notify_one();
 }
 
 void TaskPool::runTask(Task&& task) {
@@ -200,7 +154,7 @@ void TaskPool::runTask(Task&& task) {
   if (sleepers_.load(std::memory_order_seq_cst) > 0) idleCv_.notify_all();
 }
 
-bool TaskPool::tryRunOneMutex(int preferredSlot, std::size_t row) {
+bool TaskPool::tryRunOne(int preferredSlot) {
   Task task;
   bool have = false;
   // Own queue first, oldest task first: with a single executor this makes
@@ -215,7 +169,7 @@ bool TaskPool::tryRunOneMutex(int preferredSlot, std::size_t row) {
     }
   }
   if (!have) {
-    StealRow& counters = *stealRows_[row];
+    StealRow& counters = *stealRows_[telemetryRow(preferredSlot)];
     std::size_t n = queues_.size();
     std::size_t start = preferredSlot >= 0
                             ? (static_cast<std::size_t>(preferredSlot) + 1) % n
@@ -241,63 +195,6 @@ bool TaskPool::tryRunOneMutex(int preferredSlot, std::size_t row) {
   if (!have) return false;
   runTask(std::move(task));
   return true;
-}
-
-bool TaskPool::tryRunOneLockfree(int preferredSlot, std::size_t row) {
-  const bool owner = preferredSlot >= 0 && tlsWorker.pool == this &&
-                     tlsWorker.slot == preferredSlot;
-  Task* task = nullptr;
-  if (owner) {
-    LfWorker& w = *lf_[static_cast<std::size_t>(preferredSlot)];
-    task = static_cast<Task*>(w.deque.popBottom());
-    if (task == nullptr) {
-      void* p = nullptr;
-      if (w.inbox.tryPop(&p)) task = static_cast<Task*>(p);
-    }
-  }
-  if (task == nullptr) {
-    StealRow& counters = *stealRows_[row];
-    const std::size_t n = lf_.size();
-    const std::size_t start =
-        owner ? (static_cast<std::size_t>(preferredSlot) + 1) % n
-              : nextQueue_.fetch_add(1, std::memory_order_relaxed) % n;
-    for (std::size_t i = 0; i < n && task == nullptr; ++i) {
-      const std::size_t v = (start + i) % n;
-      if (owner && v == static_cast<std::size_t>(preferredSlot)) continue;
-      counters.attempts.fetch_add(1, std::memory_order_relaxed);
-      void* p = nullptr;
-      switch (lf_[v]->deque.steal(&p)) {
-        case ChaseLevDeque::Steal::Got:
-          task = static_cast<Task*>(p);
-          steals_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        case ChaseLevDeque::Steal::Abort:
-          // Lost the CAS race on the victim's top — contention, not
-          // emptiness. Count it and move to the next victim; the caller's
-          // outer loop comes back around.
-          stealAborts_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case ChaseLevDeque::Steal::Empty:
-          break;
-      }
-      if (lf_[v]->inbox.tryPop(&p)) {
-        task = static_cast<Task*>(p);
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      counters.fails.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (task == nullptr) return false;
-  runTask(std::move(*task));
-  delete task;
-  return true;
-}
-
-bool TaskPool::tryRunOne(int preferredSlot) {
-  const std::size_t row = telemetryRow(preferredSlot);
-  return lockfree_ ? tryRunOneLockfree(preferredSlot, row)
-                   : tryRunOneMutex(preferredSlot, row);
 }
 
 void TaskPool::recordIdle(std::size_t row, std::uint64_t nanos) {
@@ -328,10 +225,9 @@ void TaskPool::workerLoop(int slot) {
   tlsWorker = WorkerIdentity{this, slot};
   while (!stop_.load(std::memory_order_acquire)) {
     if (tryRunOne(slot)) continue;
-    // Park. Announce first, then re-check once: a submitter either observes
-    // the announcement (and notifies) or this re-check observes its task —
-    // the seq_cst pair closes the classic missed-wakeup window. The timed
-    // wait stays as a backstop regardless.
+    // Park. Announce, re-check once, then sleep. submit() notifies without
+    // taking idleMu_, so a task pushed between the re-check and the wait
+    // can lose its wakeup; the 2 ms timed wait is what bounds that delay.
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     if (tryRunOne(slot)) {
       sleepers_.fetch_sub(1, std::memory_order_relaxed);

@@ -1,6 +1,7 @@
 #include "validate/validate.h"
 
 #include <algorithm>
+#include <atomic>
 #include <climits>
 #include <map>
 #include <sstream>
@@ -176,6 +177,24 @@ std::unique_ptr<support::TaskPool> batchPool(std::size_t runs) {
 
 namespace {
 
+/// Whether schedule run `r` diverged in a way judge() sees without the
+/// serial baseline: it failed, or it raced on the loop under test.
+bool failedOrRaced(const interp::RunResult& r, fortran::StmtId loop) {
+  if (!r.ok) return true;
+  return std::any_of(r.races.begin(), r.races.end(),
+                     [loop](const interp::Race& race) {
+                       return race.loop == loop;
+                     });
+}
+
+/// Per-job bookkeeping shared by that job's schedule thunks.
+struct JobProgress {
+  /// Lowest schedule known to have failed or raced on the loop (INT_MAX
+  /// while none has); later schedules need not run.
+  std::atomic<int> firstDiverged{INT_MAX};
+  std::atomic<int> schedulesRun{0};
+};
+
 /// Judge one loop's schedule runs against the serial baseline, in schedule
 /// order; the first diverging schedule decides.
 void judge(const interp::RunResult& serial,
@@ -238,12 +257,15 @@ std::vector<RelativeResult> relativeExecution(
   const std::size_t perJob =
       static_cast<std::size_t>(std::max(schedules, 0));
   std::vector<std::vector<interp::RunResult>> runs(jobs.size());
+  std::vector<JobProgress> progress(jobs.size());
   std::vector<std::function<void()>> thunks = std::move(alongside);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (!machine.hasLoop(jobs[j].loop)) continue;
     runs[j].resize(perJob);
     for (std::size_t k = 0; k < perJob; ++k) {
-      thunks.push_back([&machine, &job = jobs[j], &out = runs[j][k], k] {
+      thunks.push_back([&machine, &job = jobs[j], &out = runs[j][k],
+                        &prog = progress[j], k = static_cast<int>(k)] {
+        if (prog.firstDiverged.load(std::memory_order_relaxed) < k) return;
         interp::RunOptions o = job.base;
         o.trace = nullptr;
         o.checkParallel = true;
@@ -251,6 +273,12 @@ std::vector<RelativeResult> relativeExecution(
         o.shuffleSeed = job.base.shuffleSeed +
                         0x9e3779b9u * static_cast<unsigned>(k + 1);
         out = machine.run(o);
+        prog.schedulesRun.fetch_add(1, std::memory_order_relaxed);
+        if (!failedOrRaced(out, job.loop)) return;
+        int first = prog.firstDiverged.load(std::memory_order_relaxed);
+        while (k < first && !prog.firstDiverged.compare_exchange_weak(
+                                first, k, std::memory_order_relaxed)) {
+        }
       });
     }
   }
@@ -273,6 +301,7 @@ std::vector<RelativeResult> relativeExecution(
         it != serial.stmtCounts.end()) {
       rr.serialExecutions = it->second;
     }
+    rr.schedulesRun = progress[j].schedulesRun.load(std::memory_order_relaxed);
     judge(serial, runs[j], rr);
   }
   return results;

@@ -137,6 +137,10 @@ struct RelativeResult {
   /// Variables the race detector implicated on this loop (drives which
   /// deleted edges get restored).
   std::vector<std::string> raceVariables;
+  /// Shuffled schedules actually executed. A schedule is skipped once an
+  /// earlier one has failed or raced on the loop; which later schedules
+  /// still ran depends on the pool's timing, so no report prints this.
+  int schedulesRun = 0;
 };
 
 /// One loop to relative-execute, and the options its shuffled schedules
@@ -157,7 +161,9 @@ struct RelativeJob {
 /// against the serial baseline. All runs of all jobs, plus the `alongside`
 /// thunks, execute as one batch on `pool` (inline, in order, when null);
 /// results are judged afterwards, per job in schedule order, and the first
-/// diverging schedule decides. `serial` is read only once the whole batch
+/// diverging schedule decides. A schedule whose job already has an earlier
+/// schedule that failed or raced on the loop is skipped: the judge stops
+/// at that earlier one and never reads it. `serial` is read only once the whole batch
 /// has finished, so an `alongside` thunk may be the one that fills it.
 /// Returns one result per job, in job order.
 [[nodiscard]] std::vector<RelativeResult> relativeExecution(

@@ -2,208 +2,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dependence/testsuite.h"
 #include "support/ebr.h"
-#include "support/lockfree.h"
 #include "support/taskpool.h"
 
 namespace ps::support {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ChaseLevDeque
-// ---------------------------------------------------------------------------
-
-// Items are 1-based indices encoded as pointers so nullptr stays "empty".
-void* enc(std::size_t i) { return reinterpret_cast<void*>(i + 1); }
-std::size_t dec(void* p) { return reinterpret_cast<std::uintptr_t>(p) - 1; }
-
-TEST(ChaseLevDeque, OwnerOnlyFifoLifoSemantics) {
-  ChaseLevDeque d;
-  EXPECT_EQ(d.popBottom(), nullptr);
-  for (std::size_t i = 0; i < 100; ++i) d.pushBottom(enc(i));
-  // Owner pops LIFO from the bottom.
-  for (std::size_t i = 100; i-- > 0;) {
-    void* p = d.popBottom();
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(dec(p), i);
-  }
-  EXPECT_EQ(d.popBottom(), nullptr);
-}
-
-TEST(ChaseLevDeque, StealsComeFromTheTop) {
-  ChaseLevDeque d;
-  for (std::size_t i = 0; i < 10; ++i) d.pushBottom(enc(i));
-  void* p = nullptr;
-  ASSERT_EQ(d.steal(&p), ChaseLevDeque::Steal::Got);
-  EXPECT_EQ(dec(p), 0u);  // oldest item
-  ASSERT_NE((p = d.popBottom()), nullptr);
-  EXPECT_EQ(dec(p), 9u);  // newest item
-}
-
-// Every pushed item is consumed exactly once, split between the owner
-// (popBottom) and a gang of thieves hammering steal() concurrently.
-TEST(ChaseLevDeque, OwnerVsThievesEachItemConsumedOnce) {
-  constexpr std::size_t kItems = 200000;
-  constexpr int kThieves = 4;
-  ChaseLevDeque d;
-  std::vector<std::atomic<int>> seen(kItems);
-  for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-  std::atomic<bool> done{false};
-  std::atomic<std::size_t> consumed{0};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire) ||
-             consumed.load(std::memory_order_acquire) < kItems) {
-        void* p = nullptr;
-        if (d.steal(&p) == ChaseLevDeque::Steal::Got) {
-          seen[dec(p)].fetch_add(1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_acq_rel);
-        }
-        if (consumed.load(std::memory_order_acquire) >= kItems) break;
-      }
-    });
-  }
-
-  // Owner: bursts of pushes interleaved with pops, so both ends are active.
-  std::size_t next = 0;
-  while (next < kItems) {
-    const std::size_t burst = std::min<std::size_t>(64, kItems - next);
-    for (std::size_t i = 0; i < burst; ++i) d.pushBottom(enc(next++));
-    for (int i = 0; i < 16; ++i) {
-      void* p = d.popBottom();
-      if (p == nullptr) break;
-      seen[dec(p)].fetch_add(1, std::memory_order_relaxed);
-      consumed.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-  done.store(true, std::memory_order_release);
-  // Owner drains whatever the thieves have not taken yet.
-  while (consumed.load(std::memory_order_acquire) < kItems) {
-    void* p = d.popBottom();
-    if (p != nullptr) {
-      seen[dec(p)].fetch_add(1, std::memory_order_relaxed);
-      consumed.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-  for (auto& th : thieves) th.join();
-
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(seen[i].load(std::memory_order_relaxed), 1)
-        << "item " << i << " consumed " << seen[i].load() << " times";
-  }
-}
-
-// Start with a tiny buffer so pushes force repeated grow() while thieves
-// hold possibly-stale buffer pointers mid-steal.
-TEST(ChaseLevDeque, ResizeUnderConcurrentSteal) {
-  constexpr std::size_t kItems = 100000;
-  constexpr int kThieves = 3;
-  ChaseLevDeque d(2);
-  ASSERT_EQ(d.capacity(), 2u);
-  std::vector<std::atomic<int>> seen(kItems);
-  for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-  std::atomic<std::size_t> consumed{0};
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (consumed.load(std::memory_order_acquire) < kItems) {
-        void* p = nullptr;
-        if (d.steal(&p) == ChaseLevDeque::Steal::Got) {
-          seen[dec(p)].fetch_add(1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_acq_rel);
-        } else if (done.load(std::memory_order_acquire) &&
-                   consumed.load(std::memory_order_acquire) >= kItems) {
-          break;
-        }
-      }
-    });
-  }
-
-  // Push everything without owner pops: the deque depth crosses every
-  // power-of-two boundary up to kItems, exercising grow() under live steals.
-  for (std::size_t i = 0; i < kItems; ++i) d.pushBottom(enc(i));
-  done.store(true, std::memory_order_release);
-  while (consumed.load(std::memory_order_acquire) < kItems) {
-    void* p = d.popBottom();
-    if (p != nullptr) {
-      seen[dec(p)].fetch_add(1, std::memory_order_relaxed);
-      consumed.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-  for (auto& th : thieves) th.join();
-
-  // Depth = pushes minus concurrent steals, so the final capacity depends
-  // on thief throughput; what matters is that grow() fired repeatedly
-  // while thieves were live (from 2 up through many doublings).
-  EXPECT_GE(d.capacity(), 64u);
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(seen[i].load(std::memory_order_relaxed), 1) << "item " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// MpmcChannel
-// ---------------------------------------------------------------------------
-
-TEST(MpmcChannel, BoundedFifoSingleThread) {
-  MpmcChannel ch(4);
-  EXPECT_EQ(ch.capacity(), 4u);
-  void* p = nullptr;
-  EXPECT_FALSE(ch.tryPop(&p));
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(ch.tryPush(enc(i)));
-  EXPECT_FALSE(ch.tryPush(enc(99)));  // full
-  for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ch.tryPop(&p));
-    EXPECT_EQ(dec(p), i);  // FIFO
-  }
-  EXPECT_FALSE(ch.tryPop(&p));
-}
-
-TEST(MpmcChannel, ManyProducersManyConsumersNoLossNoDup) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::size_t kPerProducer = 50000;
-  constexpr std::size_t kItems = kProducers * kPerProducer;
-  MpmcChannel ch(256);
-  std::vector<std::atomic<int>> seen(kItems);
-  for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-  std::atomic<std::size_t> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (std::size_t i = 0; i < kPerProducer; ++i) {
-        const std::size_t item = p * kPerProducer + i;
-        while (!ch.tryPush(enc(item))) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      void* p = nullptr;
-      while (popped.load(std::memory_order_acquire) < kItems) {
-        if (ch.tryPop(&p)) {
-          seen[dec(p)].fetch_add(1, std::memory_order_relaxed);
-          popped.fetch_add(1, std::memory_order_acq_rel);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(seen[i].load(std::memory_order_relaxed), 1) << "item " << i;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Epoch-based reclamation
@@ -287,7 +98,7 @@ TEST(EpochDomain, SwapAndRetireStormNoUseAfterRetire) {
 }
 
 // ---------------------------------------------------------------------------
-// DepMemo under invalidation storms (both backends)
+// DepMemo under invalidation storms
 // ---------------------------------------------------------------------------
 
 dep::LevelResult stamped(std::uint64_t gen) {
@@ -297,17 +108,14 @@ dep::LevelResult stamped(std::uint64_t gen) {
   return r;
 }
 
-class DepMemoBackend : public ::testing::TestWithParam<bool> {};
-
 // invalidateView storms while readers/writers run the capture-once protocol:
 // each round-trip captures (floor, gen) exactly as DependenceTester does,
 // inserts stamped entries, and checks every hit's stamp lies in its window.
 // A stale hit (stamp outside [floor, gen]) is the bug the epoch windows
-// exist to prevent; a use-after-retire would crash/TSan on the lock-free
-// backend's retired boxes and arrays.
-TEST_P(DepMemoBackend, InvalidateViewStormMidLookupZeroStaleHits) {
-  dep::DepMemo memo(GetParam());
-  ASSERT_EQ(memo.lockfree(), GetParam());
+// exist to prevent; a use-after-retire would crash/TSan on the retired
+// boxes and arrays.
+TEST(DepMemo, InvalidateViewStormMidLookupZeroStaleHits) {
+  dep::DepMemo memo;
   constexpr int kWorkers = 6;
   constexpr int kKeys = 64;
   constexpr int kIters = 3000;
@@ -354,17 +162,15 @@ TEST_P(DepMemoBackend, InvalidateViewStormMidLookupZeroStaleHits) {
   EXPECT_EQ(staleHits.load(std::memory_order_relaxed), 0);
   EXPECT_GT(hits.load(std::memory_order_relaxed), 0);
   EXPECT_LE(memo.size(), static_cast<std::size_t>(kKeys));
-  if (GetParam()) {
-    // Same-key overwrites retired superseded boxes; growth retired arrays.
-    // At quiescence the global domain must be able to drain them all.
-    EpochDomain::global().synchronize();
-    EXPECT_EQ(EpochDomain::global().freedCount(),
-              EpochDomain::global().retiredCount());
-  }
+  // Same-key overwrites retired superseded boxes; growth retired arrays.
+  // At quiescence the global domain must be able to drain them all.
+  EpochDomain::global().synchronize();
+  EXPECT_EQ(EpochDomain::global().freedCount(),
+            EpochDomain::global().retiredCount());
 }
 
-TEST_P(DepMemoBackend, GrowthPreservesEveryDistinctKey) {
-  dep::DepMemo memo(GetParam());
+TEST(DepMemo, GrowthPreservesEveryDistinctKey) {
+  dep::DepMemo memo;
   constexpr int kThreads = 8;
   constexpr int kKeysPerThread = 512;  // forces several doublings per shard
   const std::uint64_t gen = memo.generation();
@@ -392,20 +198,12 @@ TEST_P(DepMemoBackend, GrowthPreservesEveryDistinctKey) {
   EXPECT_EQ(memo.exportEntries().size(), memo.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, DepMemoBackend, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "lockfree" : "mutex";
-                         });
-
 // ---------------------------------------------------------------------------
-// TaskPool on both substrates
+// TaskPool
 // ---------------------------------------------------------------------------
 
-class TaskPoolBackend : public ::testing::TestWithParam<bool> {};
-
-TEST_P(TaskPoolBackend, ExternalSubmissionStormRunsEveryTask) {
-  TaskPool pool(4, GetParam());
-  ASSERT_EQ(pool.lockfree(), GetParam());
+TEST(TaskPool, ExternalSubmissionStormRunsEveryTask) {
+  TaskPool pool(4);
   constexpr int kSubmitters = 4;
   constexpr int kTasksEach = 2000;
   std::atomic<long long> ran{0};
@@ -428,8 +226,8 @@ TEST_P(TaskPoolBackend, ExternalSubmissionStormRunsEveryTask) {
             static_cast<std::uint64_t>(kSubmitters) * kTasksEach);
 }
 
-TEST_P(TaskPoolBackend, NestedFanOutFromWorkerTasks) {
-  TaskPool pool(4, GetParam());
+TEST(TaskPool, NestedFanOutFromWorkerTasks) {
+  TaskPool pool(4);
   constexpr int kOuter = 64;
   constexpr int kInner = 32;
   std::atomic<long long> ran{0};
@@ -437,8 +235,8 @@ TEST_P(TaskPoolBackend, NestedFanOutFromWorkerTasks) {
   outer.reserve(kOuter);
   for (int i = 0; i < kOuter; ++i) {
     outer.emplace_back([&pool, &ran] {
-      // Worker-side submits land in the worker's own deque (lock-free) and
-      // must be waitable from inside a task without deadlock.
+      // Worker-side submits must be waitable from inside a task without
+      // deadlock: the waiting worker helps run them.
       WaitGroup inner;
       for (int j = 0; j < kInner; ++j) {
         pool.submit(inner, [&ran] {
@@ -453,8 +251,8 @@ TEST_P(TaskPoolBackend, NestedFanOutFromWorkerTasks) {
             static_cast<long long>(kOuter) * kInner);
 }
 
-TEST_P(TaskPoolBackend, IdleStatsExposeStealTelemetry) {
-  TaskPool pool(4, GetParam());
+TEST(TaskPool, IdleStatsExposeStealTelemetry) {
+  TaskPool pool(4);
   std::atomic<long long> ran{0};
   std::vector<std::function<void()>> thunks;
   for (int i = 0; i < 256; ++i) {
@@ -465,21 +263,15 @@ TEST_P(TaskPoolBackend, IdleStatsExposeStealTelemetry) {
   ASSERT_EQ(rows.size(), static_cast<std::size_t>(pool.threadCount()) + 1);
   TaskPool::IdleStats total;
   for (const auto& r : rows) total.accumulate(r);
-  // Every fail is a subset of attempts, and aborts are a subset of fails.
+  // Every fail is a subset of attempts.
   EXPECT_LE(total.stealFails, total.stealAttempts);
-  EXPECT_LE(pool.stealAborts(), total.stealAttempts);
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 256);
 }
 
-INSTANTIATE_TEST_SUITE_P(Substrates, TaskPoolBackend, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "lockfree" : "mutex";
-                         });
-
-// The determinism anchor: a 1-thread pool ignores the substrate entirely.
+// The determinism anchor: a 1-thread pool runs tasks inline in submission
+// order.
 TEST(TaskPoolLockfree, SingleThreadPoolIsAlwaysSequential) {
-  TaskPool pool(1, true);
-  EXPECT_FALSE(pool.lockfree());
+  TaskPool pool(1);
   std::vector<int> order;
   std::vector<std::function<void()>> thunks;
   for (int i = 0; i < 16; ++i) {

@@ -357,6 +357,43 @@ TEST(RelativeExecution, BatchJudgesEveryLoopInJobOrder) {
   }
 }
 
+// Once a schedule races on the loop, later schedules of that loop are
+// skipped: the judge stops at the first divergence and never reads them.
+TEST(RelativeExecution, SchedulesAfterARaceAreSkipped) {
+  auto s = loadSource(kTwoLoops, "twolp");
+  ASSERT_NE(s, nullptr);
+  const auto loops = s->loops();
+  ASSERT_EQ(loops.size(), 2u);
+  const fortran::StmtId recurrence = loops[0].id;
+  constexpr int kSchedules = 8;
+
+  interp::RunOptions base;
+  base.checkParallel = false;
+  const interp::Machine m(s->program());
+  const interp::RunResult serial = m.run(base);
+  ASSERT_TRUE(serial.ok) << serial.error;
+
+  const std::vector<validate::RelativeResult> unpooled =
+      validate::relativeExecution(m, {{recurrence, base}}, serial, kSchedules,
+                                  /*pool=*/nullptr);
+  ASSERT_EQ(unpooled.size(), 1u);
+  ASSERT_TRUE(unpooled[0].diverged);
+  EXPECT_EQ(unpooled[0].detail.rfind("schedule 0: ", 0), 0u)
+      << unpooled[0].detail;
+  EXPECT_EQ(unpooled[0].schedulesRun, 1);
+
+  support::TaskPool pool(4);
+  const std::vector<validate::RelativeResult> pooled =
+      validate::relativeExecution(m, {{recurrence, base}}, serial, kSchedules,
+                                  &pool);
+  ASSERT_EQ(pooled.size(), 1u);
+  EXPECT_TRUE(pooled[0].diverged);
+  EXPECT_GE(pooled[0].schedulesRun, 1);
+  EXPECT_LE(pooled[0].schedulesRun, kSchedules);
+  EXPECT_EQ(pooled[0].detail, unpooled[0].detail);
+  EXPECT_EQ(pooled[0].raceVariables, unpooled[0].raceVariables);
+}
+
 TEST(ValidateDeletions, RelativeCheckRestoresInterproceduralDeletion) {
   auto s = loadSource(kInterprocRecurrence, "iprec");
   ASSERT_NE(s, nullptr);
